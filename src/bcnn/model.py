@@ -2,7 +2,7 @@
 
 A bottom-up stream halves resolution stage by stage:
 
-    F_k = maxpool2(relu(conv3x3(F_{k-1})))          F_0 = input batch
+    F_k = relu(maxpool2(conv3x3(F_{k-1})))          F_0 = input batch
 
 and a top-down stream walks back up, fusing each stage's features with the
 upsampled coarser map:
@@ -12,6 +12,10 @@ upsampled coarser map:
 
 The classifier head concatenates the global average pools of B_1 (finest
 refined map) and F_K (coarsest forward map) and applies one dense layer.
+
+ReLU is monotone, so pooling first equals the usual
+``maxpool2(relu(conv3x3(...)))`` order bit for bit, gradients included,
+and ReLU runs on a quarter of the elements.
 """
 
 import math
@@ -91,17 +95,6 @@ class ForwardTrace:
     head_ctx: OpContext
     param_shapes: dict
     batch: int
-
-    @property
-    def contexts(self):
-        """All OpContexts in the order the ops were applied."""
-        ordered = []
-        for conv_ctx, relu_ctx, pool_ctx in self.down_ctxs:
-            ordered += [conv_ctx, relu_ctx, pool_ctx]
-        for up_ctx, cat_ctx, conv_ctx, relu_ctx in reversed(self.up_ctxs):
-            ordered += [up_ctx, cat_ctx, conv_ctx, relu_ctx]
-        ordered.append(self.head_ctx)
-        return ordered
 
 
 def parameter_shapes(config):
@@ -193,11 +186,10 @@ def forward(params, batch):
     for k in range(1, stages + 1):
         conv_out, conv_ctx = conv2d(cur, params[f"fwd{k}_w"], params[f"fwd{k}_b"],
                                     stride=1, pad=1)
-        act, relu_ctx = relu(conv_out)
-        pooled, pool_ctx = maxpool2(act)
-        f_maps.append(pooled)
-        down_ctxs.append((conv_ctx, relu_ctx, pool_ctx))
-        cur = pooled
+        pooled, pool_ctx = maxpool2(conv_out)
+        cur, relu_ctx = relu(pooled)
+        f_maps.append(cur)
+        down_ctxs.append((conv_ctx, pool_ctx, relu_ctx))
 
     b_maps = [None] * (stages - 1)
     up_ctxs = [None] * (stages - 1)
@@ -271,9 +263,9 @@ def backward(params, trace, d_logits):
     # Bottom-up stream in reverse: stage K first, handing d(stage input)
     # down to stage K-1's output accumulator.
     for k in range(stages, 0, -1):
-        conv_ctx, relu_ctx, pool_ctx = trace.down_ctxs[k - 1]
-        d_act = maxpool2_backward(pool_ctx, Tensor(d_f[k - 1]))
-        d_conv = relu_backward(relu_ctx, d_act)
+        conv_ctx, pool_ctx, relu_ctx = trace.down_ctxs[k - 1]
+        d_pooled = relu_backward(relu_ctx, Tensor(d_f[k - 1]))
+        d_conv = maxpool2_backward(pool_ctx, d_pooled)
         d_input, d_w, d_bias = conv2d_backward(conv_ctx, d_conv)
         grads[f"fwd{k}_w"], grads[f"fwd{k}_b"] = d_w, d_bias
         if k > 1:
@@ -309,20 +301,22 @@ def _check_parameters(config, bias_value=0.25):
 def _kink_margin(trace):
     """Distance of the traced forward pass from its nearest decision flip.
 
-    Returns the smallest of: every ReLU input's |value|, and every pooling
-    window's gap between a positive winner and its runner-up.  A finite
-    difference step can only change a ReLU mask or a pooling winner when
-    this margin is comparable to the perturbation it causes, so requiring
-    a healthy margin keeps the central-difference estimate trustworthy.
+    Returns the smallest of: every conv output's |value|, and every pooling
+    window's gap between a positive rectified winner and its runner-up.  A
+    finite difference step can only change a ReLU mask or a pooling winner
+    when this margin is comparable to the perturbation it causes, so
+    requiring a healthy margin keeps the central-difference estimate
+    trustworthy.  It is measured on the conv outputs, as for the equal
+    rectify-then-pool order, so pooling first does not change which inputs
+    pass.
     """
     margin = np.inf
-    relu_ctxs = [stage[1] for stage in trace.down_ctxs]
-    relu_ctxs += [stage[3] for stage in trace.up_ctxs]
-    for ctx in relu_ctxs:
-        margin = min(margin, float(np.abs(ctx.saved["x"]).min()))
-    for _, relu_ctx, _pool in trace.down_ctxs:
-        pre = relu_ctx.saved["x"]
-        act = np.where(relu_ctx.saved["mask"], pre, 0.0)
+    for *_, relu_ctx in trace.up_ctxs:
+        margin = min(margin, float(np.abs(relu_ctx.saved["x"]).min()))
+    for _, pool_ctx, _ in trace.down_ctxs:
+        pre = pool_ctx.saved["x"]
+        margin = min(margin, float(np.abs(pre).min()))
+        act = np.maximum(pre, 0.0)
         batch, chans, height, width = act.shape
         windows = (act.reshape(batch, chans, height // 2, 2, width // 2, 2)
                    .transpose(0, 1, 2, 4, 3, 5)

@@ -74,14 +74,13 @@ def read_image(path):
 
 
 def rgb_to_gray(rgb):
-    """Integer luma: round(0.299 R + 0.587 G + 0.114 B) per pixel."""
+    """Integer luma: (299 R + 587 G + 114 B + 500) // 1000 per pixel."""
     rgb = np.asarray(rgb)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise FormatError(f"expected an (H, W, 3) array, got shape {rgb.shape}")
-    luma = (0.299 * rgb[:, :, 0].astype(np.float64)
-            + 0.587 * rgb[:, :, 1]
-            + 0.114 * rgb[:, :, 2])
-    return np.floor(luma + 0.5).astype(np.uint8)
+    wide = rgb.astype(np.int64)
+    luma = (299 * wide[:, :, 0] + 587 * wide[:, :, 1] + 114 * wide[:, :, 2] + 500) // 1000
+    return luma.astype(np.uint8)
 
 
 def _check_gray(pixels):

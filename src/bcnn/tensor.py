@@ -7,6 +7,15 @@ graph.  Conventions fixed here and relied on everywhere else:
 - image batches are laid out ``(batch, channels, height, width)``;
 - convolution is cross-correlation (no kernel flip) with zero padding and
   floor semantics for strided output sizes;
+- a convolution unfolds its narrower side into the GEMM: the input
+  (im2col) when ``C_in <= C_out``, the kernel (shift-accumulate) when
+  ``C_in > C_out``, so the ``kh*kw``-fold buffer holds
+  ``min(C_in, C_out)`` channels.  The rule follows the measured cost at
+  batch 32 with one OpenBLAS 0.3.31 thread on an x86-64 Xeon: the
+  cascade's refinement convs take three times more channels than they
+  emit (48->16, 96->32), and on them shift-accumulate is 1.8-2.5x faster
+  forward and 2.2-2.9x faster backward than im2col with col2im; on the
+  forward-cascade convs (1->16, 16->32, 32->64) im2col is 1.5-28x faster;
 - ReLU has gradient 0 at exactly 0, and max pooling breaks ties toward the
   lowest flat index;
 - storage is float32 by default, while gradient checking runs in float64.
@@ -159,10 +168,23 @@ def _col2im(cols, x_shape, kh, kw, stride, out_h, out_w):
     batch, chans, height, width = x_shape
     out = np.zeros(x_shape, dtype=cols.dtype)
     patches = cols.reshape(batch, chans, kh, kw, out_h, out_w)
+    for i, j, ys, xs in _taps(kh, kw, stride, out_h, out_w):
+        out[:, :, ys, xs] += patches[:, :, i, j]
+    return out
+
+
+def _taps(kh, kw, stride, out_h, out_w):
+    """Each kernel offset (i, j) with the rows and columns of the padded
+    input that it meets across the output grid."""
     for i in range(kh):
         for j in range(kw):
-            out[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += patches[:, :, i, j]
-    return out
+            yield i, j, slice(i, i + stride * out_h, stride), slice(j, j + stride * out_w, stride)
+
+
+def _kernel_rows(w):
+    """(C_out, C_in, kh, kw) kernel as a (C_out*kh*kw, C_in) matrix, rows (o, i, j)."""
+    c_out, c_in, kh, kw = w.shape
+    return w.transpose(0, 2, 3, 1).reshape(c_out * kh * kw, c_in)
 
 
 def conv2d(x, w, bias, stride=1, pad=0):
@@ -172,6 +194,14 @@ def conv2d(x, w, bias, stride=1, pad=0):
     (C_out,).  Zero padding of ``pad`` pixels is applied on all four sides
     and the output size follows floor semantics:
     ``H' = (H + 2*pad - kh) // stride + 1``.
+
+    The GEMM unfolds the narrower side of the layer, chosen from the
+    channel counts alone.  With ``C_in <= C_out`` the input is unrolled
+    into ``C_in*kh*kw`` patch rows (im2col) and multiplied by the kernel.
+    With ``C_in > C_out`` the kernel rows ``(o, i, j)`` multiply the padded
+    input directly and the ``kh*kw`` shifted, strided output planes are
+    summed (shift-accumulate); its context keeps the padded input instead
+    of a ``kh*kw``-fold column buffer.
     """
     _require(x.rank == 4, f"conv2d input must be rank 4, got rank {x.rank}")
     _require(w.rank == 4, f"conv2d kernel must be rank 4, got rank {w.rank}")
@@ -192,45 +222,73 @@ def conv2d(x, w, bias, stride=1, pad=0):
     out_w = (width + 2 * pad - kw) // stride + 1
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    cols = _im2col(xp, kh, kw, stride, out_h, out_w)
-    wm = w.data.reshape(c_out, c_in * kh * kw)
-    out = np.matmul(wm, cols).reshape(batch, c_out, out_h, out_w)
+    saved = {"w": w.data, "x_shape": x.shape, "stride": stride, "pad": pad,
+             "out_hw": (out_h, out_w)}
+    if c_in <= c_out:
+        cols = _im2col(xp, kh, kw, stride, out_h, out_w)
+        out = np.matmul(w.data.reshape(c_out, c_in * kh * kw), cols)
+        out = out.reshape(batch, c_out, out_h, out_w)
+        saved["cols"] = cols
+    else:
+        planes = np.matmul(_kernel_rows(w.data), xp.reshape(batch, c_in, -1))
+        planes = planes.reshape((batch, c_out, kh, kw) + xp.shape[2:])
+        taps = [planes[:, :, i, j, ys, xs]
+                for i, j, ys, xs in _taps(kh, kw, stride, out_h, out_w)]
+        out = taps[0].copy()
+        for tap in taps[1:]:
+            out += tap
+        saved["xp"] = xp
     out += bias.data[None, :, None, None]
-    ctx = OpContext("conv2d", {
-        "cols": cols,
-        "w": w.data,
-        "x_shape": x.shape,
-        "stride": stride,
-        "pad": pad,
-        "out_hw": (out_h, out_w),
-    })
-    return Tensor(out), ctx
+    return Tensor(out), OpContext("conv2d", saved)
 
 
 def conv2d_backward(ctx, grad_out):
-    """Gradients of conv2d: returns ``(d_input, d_kernel, d_bias)``."""
+    """Gradients of conv2d: returns ``(d_input, d_kernel, d_bias)``.
+
+    The im2col path takes ``d_kernel`` from the saved columns and scatters
+    the column gradient back with col2im.  The shift-accumulate path
+    places the upstream gradient at every tap's window of one
+    ``(C_out*kh*kw)``-row buffer; one GEMM of that buffer with the saved
+    padded input gives ``d_kernel``, and one with the kernel rows gives
+    the padded input gradient.
+    """
     saved = _take(ctx, "conv2d")
-    cols, w = saved["cols"], saved["w"]
-    batch, _, height, width = saved["x_shape"]
+    w = saved["w"]
+    batch, c_in, height, width = saved["x_shape"]
     stride, pad = saved["stride"], saved["pad"]
     out_h, out_w = saved["out_hw"]
-    c_out = w.shape[0]
+    c_out, _, kh, kw = w.shape
     _require(grad_out.shape == (batch, c_out, out_h, out_w),
              f"conv2d upstream gradient has shape {grad_out.shape}, "
              f"expected {(batch, c_out, out_h, out_w)}")
 
-    g = grad_out.data.reshape(batch, c_out, out_h * out_w)
     d_bias = grad_out.data.sum(axis=(0, 2, 3))
-    d_w = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-    d_cols = np.matmul(w.reshape(c_out, -1).T, g)
-    padded_shape = (batch, saved["x_shape"][1], height + 2 * pad, width + 2 * pad)
-    d_xp = _col2im(d_cols, padded_shape, w.shape[2], w.shape[3], stride, out_h, out_w)
+    padded_hw = (height + 2 * pad, width + 2 * pad)
+    if "cols" in saved:
+        cols = saved["cols"]
+        g = grad_out.data.reshape(batch, c_out, out_h * out_w)
+        d_w = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        d_cols = np.matmul(w.reshape(c_out, -1).T, g)
+        d_xp = _col2im(d_cols, (batch, c_in) + padded_hw, kh, kw, stride, out_h, out_w)
+    else:
+        xp = saved["xp"].reshape(batch, c_in, -1)
+        spread = np.zeros((batch, c_out, kh, kw) + padded_hw, dtype=grad_out.data.dtype)
+        for i, j, ys, xs in _taps(kh, kw, stride, out_h, out_w):
+            spread[:, :, i, j, ys, xs] = grad_out.data
+        spread = spread.reshape(batch, c_out * kh * kw, -1)
+        d_w = np.matmul(spread, xp.transpose(0, 2, 1)).sum(axis=0)
+        d_w = d_w.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
+        d_xp = np.matmul(_kernel_rows(w).T, spread).reshape((batch, c_in) + padded_hw)
     d_x = d_xp[:, :, pad:pad + height, pad:pad + width] if pad else d_xp
     return Tensor(np.ascontiguousarray(d_x)), Tensor(d_w), Tensor(d_bias)
 
 
 # ---------------------------------------------------------------------------
 # maxpool2
+
+
+# Offsets of the four elements of a 2x2 window, in row-major order.
+_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def maxpool2(x):
@@ -241,35 +299,42 @@ def maxpool2(x):
     the lowest flat index, and only that element receives gradient.
     """
     _require(x.rank == 4, f"maxpool2 input must be rank 4, got rank {x.rank}")
-    batch, chans, height, width = x.shape
+    height, width = x.shape[2:]
     if height % 2 or width % 2:
         raise DimensionError(
             f"maxpool2 needs even spatial extents, got {height}x{width}; pad or resize the input")
-    out_h, out_w = height // 2, width // 2
-    windows = (x.data.reshape(batch, chans, out_h, 2, out_w, 2)
-               .transpose(0, 1, 2, 4, 3, 5)
-               .reshape(batch, chans, out_h, out_w, 4))
-    # argmax returns the first maximum, which is the lowest flat index in
-    # the original array because window offsets are enumerated row-major.
-    idx = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-    ctx = OpContext("maxpool2", {"idx": idx, "x_shape": x.shape, "dtype": x.data.dtype})
-    return Tensor(np.ascontiguousarray(out)), ctx
+    tl, tr, bl, br = (x.data[:, :, di::2, dj::2] for di, dj in _CORNERS)
+    out = np.maximum(tl, tr)
+    np.maximum(out, bl, out=out)
+    np.maximum(out, br, out=out)
+    return Tensor(out), OpContext("maxpool2", {"x": x.data, "out": out})
 
 
 def maxpool2_backward(ctx, grad_out):
-    """Routes each upstream gradient to the element that won its window."""
+    """Routes each upstream gradient to the element that won its window.
+
+    The winner is the first corner, in row-major order, that equals the
+    window's maximum: the lowest flat index among tied maxima.  A window
+    whose maximum is NaN passes no gradient.
+    """
     saved = _take(ctx, "maxpool2")
-    idx = saved["idx"]
-    batch, chans, height, width = saved["x_shape"]
-    _require(grad_out.shape == idx.shape,
-             f"maxpool2 upstream gradient has shape {grad_out.shape}, expected {idx.shape}")
-    d_win = np.zeros(idx.shape + (4,), dtype=saved["dtype"])
-    np.put_along_axis(d_win, idx[..., None], grad_out.data[..., None], axis=-1)
-    d_x = (d_win.reshape(batch, chans, height // 2, width // 2, 2, 2)
-           .transpose(0, 1, 2, 4, 3, 5)
-           .reshape(batch, chans, height, width))
-    return Tensor(np.ascontiguousarray(d_x))
+    x, out = saved["x"], saved["out"]
+    _require(grad_out.shape == out.shape,
+             f"maxpool2 upstream gradient has shape {grad_out.shape}, expected {out.shape}")
+    # Each corner's gradient is the upstream value's bit pattern ANDed with
+    # all-ones where the corner won and with zeros elsewhere: exactly
+    # where(won, g, +0.0), written in place without a temporary.
+    bits = np.dtype(f"i{x.itemsize}")
+    g_bits = grad_out.data.astype(x.dtype, copy=False).view(bits)
+    d_x = np.empty(x.shape, dtype=x.dtype)
+    unrouted = np.ones(out.shape, dtype=bool)
+    won = np.empty(out.shape, dtype=bool)
+    for di, dj in _CORNERS:
+        np.equal(x[:, :, di::2, dj::2], out, out=won)
+        won &= unrouted
+        unrouted ^= won
+        np.bitwise_and(g_bits, -won.astype(bits), out=d_x[:, :, di::2, dj::2].view(bits))
+    return Tensor(d_x)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,11 @@ __all__ = [
 ]
 
 
+def _is_int(value):
+    """True for integers other than bool, which Python counts as int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters for one training run."""
@@ -52,9 +57,9 @@ class TrainConfig:
     augment_before_split: bool = False
 
     def __post_init__(self):
-        if not (isinstance(self.epochs, int) and self.epochs >= 1):
+        if not (_is_int(self.epochs) and self.epochs >= 1):
             raise ConfigError(f"epochs must be a positive integer, got {self.epochs!r}")
-        if not (isinstance(self.batch_size, int) and self.batch_size >= 1):
+        if not (_is_int(self.batch_size) and self.batch_size >= 1):
             raise ConfigError(f"batch_size must be a positive integer, got {self.batch_size!r}")
         if not self.lr > 0:
             raise ConfigError(f"learning rate must be positive, got {self.lr}")
@@ -244,7 +249,8 @@ def load_checkpoint(path):
     """Reads a checkpoint and validates it structurally.
 
     Bad magic raises :class:`FormatError`, an unsupported version raises
-    :class:`VersionError`, and truncation or shape mismatches raise
+    :class:`VersionError`, and truncation, undecodable or duplicate tensor
+    names, extents that overrun the file, or shape mismatches raise
     :class:`IntegrityError`.  Run metadata (train seed, epoch) is not in
     the file, so it comes back ``None``.
     """
@@ -274,13 +280,24 @@ def load_checkpoint(path):
     params = {}
     for _ in range(n_tensors):
         name_len = reader.u32()
-        name = reader.take(name_len).decode("utf-8")
+        raw_name = reader.take(name_len)
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise IntegrityError(
+                f"tensor name at offset {reader.pos - name_len} is not valid UTF-8") from None
+        if name in params:
+            raise IntegrityError(f"tensor '{name}' appears twice")
         rank = reader.u32()
         if not 1 <= rank <= 4:
             raise IntegrityError(f"tensor '{name}' has implausible rank {rank}")
         shape = reader.u32(rank)
         shape = (shape,) if rank == 1 else tuple(shape)
-        count = int(np.prod(shape))
+        count = math.prod(shape)
+        left = len(reader.buf) - reader.pos
+        if not 0 < 4 * count <= left:
+            raise IntegrityError(
+                f"tensor '{name}' has implausible extents {shape} for the {left} bytes left")
         payload = reader.take(4 * count)
         data = np.frombuffer(payload, dtype="<f4").reshape(shape)
         params[name] = Tensor(data.astype(np.float32, copy=True))

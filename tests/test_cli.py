@@ -192,3 +192,13 @@ def test_runtime_errors_exit_2(tmp_path, corpus_dir, run_dir, capsys):
 
     assert main(["predict", "--image", str(tmp_path / "missing.pgm"),
                  "--checkpoint", str(run_dir / "model.bcnn")]) == 2
+
+
+def test_predict_rejects_corrupt_checkpoint_exit_2(tmp_path, corpus_dir, run_dir, capsys):
+    good = (run_dir / "model.bcnn").read_bytes()
+    name = good.index(b"fwd1_w")
+    bad = tmp_path / "bad_name.bcnn"
+    bad.write_bytes(good[:name] + b"\xff" + good[name + 1:])
+    image = corpus_dir / "fatigue" / "fatigue_0000.pgm"
+    assert main(["predict", "--image", str(image), "--checkpoint", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -72,9 +72,8 @@ def test_ppm_roundtrip_applies_luma(tmp_path):
     path = tmp_path / "img.ppm"
     write_ppm(path, rgb)
     got = read_image(path)
-    want = np.floor(0.299 * rgb[..., 0].astype(np.float64)
-                    + 0.587 * rgb[..., 1]
-                    + 0.114 * rgb[..., 2] + 0.5).astype(np.uint8)
+    r, g, b = (rgb[..., k].astype(np.int64) for k in range(3))
+    want = ((299 * r + 587 * g + 114 * b + 500) // 1000).astype(np.uint8)
     assert np.array_equal(got, want)
 
 
@@ -82,6 +81,13 @@ def test_gray_rgb_converts_to_itself():
     g = np.arange(256, dtype=np.uint8).reshape(16, 16)
     rgb = np.stack([g, g, g], axis=-1)
     assert np.array_equal(rgb_to_gray(rgb), g)
+
+
+def test_rgb_to_gray_rounds_half_up_exactly():
+    # 587*36 + 114*12 + 500 = 23000 -> 23; the same sum in float64 falls
+    # just below 23.0 and would floor to 22
+    rgb = np.array([[[0, 36, 12], [0, 80, 110], [255, 255, 255]]], dtype=np.uint8)
+    assert rgb_to_gray(rgb).tolist() == [[23, 60, 255]]
 
 
 def test_pgm_header_comments_are_skipped(tmp_path):

@@ -420,41 +420,72 @@ def weighted_sum_loss(rng, shape):
     return Tensor(r.copy()), r
 
 
+# conv2d unrolls the input when C_in <= C_out and the kernel otherwise;
+# each conv gradcheck runs one shape of each kind.
+CONV_CHANNELS = ((2, 3), (5, 2))
+
+
 def test_gradcheck_conv2d_all_arguments():
     rng = np.random.default_rng(20)
-    x = t(rng.random((2, 2, 4, 4)) + 0.1)
-    w = t(rng.standard_normal((3, 2, 3, 3)) * 0.5)
-    bias = t(rng.standard_normal(3) * 0.1)
-    out, ctx = conv2d(x, w, bias, stride=1, pad=1)
-    upstream, _ = weighted_sum_loss(rng, out.shape)
-    dx, dw, dbias = conv2d_backward(ctx, upstream)
+    for c_in, c_out in CONV_CHANNELS:
+        x = t(rng.random((2, c_in, 4, 4)) + 0.1)
+        w = t(rng.standard_normal((c_out, c_in, 3, 3)) * 0.5)
+        bias = t(rng.standard_normal(c_out) * 0.1)
+        out, ctx = conv2d(x, w, bias, stride=1, pad=1)
+        upstream, _ = weighted_sum_loss(rng, out.shape)
+        dx, dw, dbias = conv2d_backward(ctx, upstream)
 
-    def loss_from(tensor):
         def f(_q):
             o, _ = conv2d(x, w, bias, stride=1, pad=1)
             return float((o.data * upstream.data).sum())
-        return f
 
-    assert finite_diff_gradcheck(loss_from(x), x, dx) < TOL
-    assert finite_diff_gradcheck(loss_from(w), w, dw) < TOL
-    assert finite_diff_gradcheck(loss_from(bias), bias, dbias) < TOL
+        assert finite_diff_gradcheck(f, x, dx) < TOL, (c_in, c_out)
+        assert finite_diff_gradcheck(f, w, dw) < TOL, (c_in, c_out)
+        assert finite_diff_gradcheck(f, bias, dbias) < TOL, (c_in, c_out)
 
 
 def test_gradcheck_conv2d_stride_two():
     rng = np.random.default_rng(21)
-    x = t(rng.random((1, 2, 6, 6)))
-    w = t(rng.standard_normal((2, 2, 2, 2)))
-    bias = t(rng.standard_normal(2))
-    out, ctx = conv2d(x, w, bias, stride=2, pad=0)
-    upstream, _ = weighted_sum_loss(rng, out.shape)
-    dx, dw, _ = conv2d_backward(ctx, upstream)
+    for c_in, c_out in CONV_CHANNELS:
+        x = t(rng.random((1, c_in, 6, 6)))
+        w = t(rng.standard_normal((c_out, c_in, 2, 2)))
+        bias = t(rng.standard_normal(c_out))
+        out, ctx = conv2d(x, w, bias, stride=2, pad=0)
+        upstream, _ = weighted_sum_loss(rng, out.shape)
+        dx, dw, _ = conv2d_backward(ctx, upstream)
 
-    def f(_q):
-        o, _ = conv2d(x, w, bias, stride=2, pad=0)
-        return float((o.data * upstream.data).sum())
+        def f(_q):
+            o, _ = conv2d(x, w, bias, stride=2, pad=0)
+            return float((o.data * upstream.data).sum())
 
-    assert finite_diff_gradcheck(f, x, dx) < TOL
-    assert finite_diff_gradcheck(f, w, dw) < TOL
+        assert finite_diff_gradcheck(f, x, dx) < TOL, (c_in, c_out)
+        assert finite_diff_gradcheck(f, w, dw) < TOL, (c_in, c_out)
+
+
+def test_conv2d_paths_agree_for_any_stride_pad_and_kernel():
+    # A 5->2 conv takes the shift-accumulate path.  Appending three zero
+    # kernels makes it 5->5, which takes the im2col path; the first two
+    # output channels and every gradient must agree.
+    rng = np.random.default_rng(29)
+    for stride, pad, kh, kw in ((1, 0, 3, 3), (1, 1, 3, 3), (2, 1, 3, 2), (3, 2, 2, 3),
+                                (2, 0, 1, 1)):
+        x = t(rng.standard_normal((2, 5, 7, 6)))
+        w = t(rng.standard_normal((2, 5, kh, kw)))
+        bias = t(rng.standard_normal(2))
+        wide_w = t(np.concatenate([w.data, np.zeros((3, 5, kh, kw))]))
+        wide_b = t(np.concatenate([bias.data, np.zeros(3)]))
+        out, ctx = conv2d(x, w, bias, stride=stride, pad=pad)
+        wide, wide_ctx = conv2d(x, wide_w, wide_b, stride=stride, pad=pad)
+        np.testing.assert_allclose(out.data, wide.data[:, :2], rtol=1e-12, atol=1e-12)
+
+        upstream = rng.standard_normal(out.shape)
+        wide_up = np.zeros(wide.shape)
+        wide_up[:, :2] = upstream
+        dx, dw, dbias = conv2d_backward(ctx, t(upstream))
+        wide_dx, wide_dw, wide_dbias = conv2d_backward(wide_ctx, t(wide_up))
+        np.testing.assert_allclose(dx.data, wide_dx.data, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dw.data, wide_dw.data[:2], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dbias.data, wide_dbias.data[:2], rtol=1e-12, atol=1e-12)
 
 
 def test_gradcheck_maxpool2():

@@ -1,8 +1,15 @@
 """Training loop, evaluation self-consistency, checkpoint wire format, logs."""
 
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bcnn
 from bcnn.data import DatasetManifest, stratified_split, synth_generate, to_batches
 from bcnn.errors import (
     ConfigError,
@@ -58,6 +65,10 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(epochs=1.5)
     with pytest.raises(ConfigError):
+        TrainConfig(epochs=True)
+    with pytest.raises(ConfigError):
+        TrainConfig(batch_size=True)
+    with pytest.raises(ConfigError):
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         TrainConfig(lr=0.0)
@@ -93,6 +104,39 @@ def test_train_is_deterministic(corpus):
     assert records_a == records_b
     for name in params_a:
         assert np.array_equal(params_a[name].data, params_b[name].data)
+
+
+_DIGEST_SCRIPT = """
+import hashlib
+from bcnn.data import DatasetManifest, synth_generate
+from bcnn.model import ModelConfig
+from bcnn.train import TrainConfig, train
+classes = ("fatigue", "linear", "potholes")
+items = [synth_generate(c, 64, i) for c in classes for i in range(8)]
+params, _ = train(DatasetManifest(list(classes), items, provenance="synthetic"),
+                  ModelConfig(input_size=64, classes=3, seed=2),
+                  TrainConfig(epochs=1, batch_size=16, seed=3))
+digest = hashlib.sha256()
+for name in sorted(params):
+    digest.update(name.encode() + params[name].data.tobytes())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_train_is_bitwise_deterministic_per_blas_thread_count(threads):
+    # Separate processes, so nothing but the code and the BLAS thread
+    # count is shared.  The default 64x64 model has GEMMs large enough
+    # for a threaded BLAS to split.  Bits may differ between thread
+    # counts; they must not differ between runs.
+    src = str(Path(bcnn.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    digests = [subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env=env, check=True,
+                              capture_output=True, text=True).stdout.strip()
+               for _ in range(2)]
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_train_rejects_class_count_mismatch(corpus):
@@ -218,6 +262,44 @@ def test_checkpoint_rejects_corruption(tmp_path):
     trailing.write_bytes(good + b"junk")
     with pytest.raises(IntegrityError):
         load_checkpoint(trailing)
+
+
+def _saved_checkpoint(tmp_path):
+    path = tmp_path / "model.bcnn"
+    save_checkpoint(path, Checkpoint(1, MODEL, build_model(MODEL)))
+    return path.read_bytes()
+
+
+def test_checkpoint_rejects_undecodable_tensor_name(tmp_path):
+    good = _saved_checkpoint(tmp_path)
+    name = good.index(b"fwd1_w")
+    bad = tmp_path / "name.bcnn"
+    bad.write_bytes(good[:name] + b"\xff" + good[name + 1:])
+    with pytest.raises(IntegrityError, match="UTF-8"):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_rejects_extents_past_the_payload(tmp_path):
+    good = _saved_checkpoint(tmp_path)
+    rank = good.index(b"fwd1_w") + len(b"fwd1_w")
+    extents = slice(rank + 4, rank + 20)
+    # 65536^4 elements wrap a 64-bit product to 0; the rest overrun the
+    # file or hold no element
+    for dims in ((65536,) * 4, (2 ** 32 - 1,) * 4, (65537, 1, 1, 1), (0, 1, 3, 3)):
+        bad = tmp_path / "extents.bcnn"
+        bad.write_bytes(good[:extents.start] + struct.pack("<4I", *dims) + good[extents.stop:])
+        with pytest.raises(IntegrityError, match="extents"):
+            load_checkpoint(bad)
+
+
+def test_checkpoint_rejects_duplicate_tensor_names(tmp_path):
+    good = _saved_checkpoint(tmp_path)
+    # fwd1_b follows fwd1_w; same-length names keep every offset in place
+    second = good.index(b"fwd1_b")
+    bad = tmp_path / "dup.bcnn"
+    bad.write_bytes(good[:second] + b"fwd1_w" + good[second + 6:])
+    with pytest.raises(IntegrityError, match="twice"):
+        load_checkpoint(bad)
 
 
 def test_checkpoint_save_validation(tmp_path):
