@@ -173,9 +173,7 @@ def _cmd_train(args):
     model_config = ModelConfig(input_size=args.size, seed=args.seed)
     train_config = TrainConfig(epochs=args.epochs, batch_size=args.batch,
                                lr=args.lr, val_ratio=val_ratio, seed=args.seed,
-                               optimizer=args.optimizer,
-                               log_path=args.log, checkpoint_path=args.checkpoint,
-                               augment=augment,
+                               optimizer=args.optimizer, augment=augment,
                                augment_before_split=args.augment_before_split)
 
     manifest = load_dataset(args.data)
@@ -184,14 +182,12 @@ def _cmd_train(args):
         print(f"epoch {r.epoch}/{train_config.epochs}: "
               f"train_loss={r.train_loss:.6f} train_acc={r.train_acc:.4f} "
               f"val_loss={r.val_loss:.6f} val_acc={r.val_acc:.4f}")
-    if train_config.checkpoint_path:
-        ckpt = Checkpoint(version=1, config=model_config, params=params,
-                          train_seed=train_config.seed, epoch=train_config.epochs)
-        save_checkpoint(train_config.checkpoint_path, ckpt)
-        print(f"saved checkpoint to {train_config.checkpoint_path}")
-    if train_config.log_path:
-        write_log(train_config.log_path, records)
-        print(f"wrote log to {train_config.log_path}")
+    if args.checkpoint:
+        save_checkpoint(args.checkpoint, Checkpoint(version=1, config=model_config, params=params))
+        print(f"saved checkpoint to {args.checkpoint}")
+    if args.log:
+        write_log(args.log, records)
+        print(f"wrote log to {args.log}")
     return 0
 
 

@@ -81,20 +81,20 @@ class ModelConfig:
 
 @dataclass
 class ForwardTrace:
-    """Everything ``backward`` needs, captured in application order.
+    """Exactly what ``backward`` reads, captured in application order.
 
-    ``f_maps`` holds F_1..F_K, ``b_maps`` holds B_1..B_{K-1} (B_K is F_K
-    itself), and ``pooled`` is the head's input vector.
+    ``down_ctxs[k-1]`` holds stage k's ``(conv, pool, relu)`` contexts
+    (k = 1..K) and ``up_ctxs[k-1]`` the ``(upsample, concat, conv, relu)``
+    contexts of the refinement that produces B_k (k = 1..K-1).  The maps
+    themselves are not kept: F_k and B_k have the shapes of the inputs
+    saved by the ReLU contexts of ``fwd{k}`` and ``refine{k}``.
+    ``param_shapes`` records the parameter set the pass ran with.
     """
 
-    f_maps: list
-    b_maps: list
-    pooled: Tensor
     down_ctxs: list
     up_ctxs: list
     head_ctx: OpContext
     param_shapes: dict
-    batch: int
 
 
 def parameter_shapes(config):
@@ -191,7 +191,6 @@ def forward(params, batch):
         f_maps.append(cur)
         down_ctxs.append((conv_ctx, pool_ctx, relu_ctx))
 
-    b_maps = [None] * (stages - 1)
     up_ctxs = [None] * (stages - 1)
     coarse = f_maps[-1]
     for k in range(stages - 1, 0, -1):
@@ -200,20 +199,16 @@ def forward(params, batch):
         conv_out, conv_ctx = conv2d(fused, params[f"refine{k}_w"], params[f"refine{k}_b"],
                                     stride=1, pad=1)
         coarse, relu_ctx = relu(conv_out)
-        b_maps[k - 1] = coarse
         up_ctxs[k - 1] = (up_ctx, cat_ctx, conv_ctx, relu_ctx)
 
-    pooled_vec = Tensor(np.concatenate([_gap(b_maps[0]), _gap(f_maps[-1])], axis=1))
+    # ``coarse`` is now B_1.
+    pooled_vec = Tensor(np.concatenate([_gap(coarse), _gap(f_maps[-1])], axis=1))
     logits, head_ctx = dense(pooled_vec, params["head_w"], params["head_b"])
     trace = ForwardTrace(
-        f_maps=f_maps,
-        b_maps=b_maps,
-        pooled=pooled_vec,
         down_ctxs=down_ctxs,
         up_ctxs=up_ctxs,
         head_ctx=head_ctx,
         param_shapes={name: tuple(t.shape) for name, t in params.items()},
-        batch=batch.shape[0],
     )
     return logits, trace
 
@@ -237,9 +232,12 @@ def backward(params, trace, d_logits):
     d_pooled, d_head_w, d_head_b = dense_backward(trace.head_ctx, d_logits)
     grads["head_w"], grads["head_b"] = d_head_w, d_head_b
 
-    fine_c = trace.b_maps[0].shape[1]
-    d_gap_fine = d_pooled.data[:, :fine_c]
-    d_gap_coarse = d_pooled.data[:, fine_c:]
+    # The head pooled B_1 and F_K, the outputs of the ReLUs of refine1
+    # and fwd{K}; each has the shape of its ReLU's saved input.
+    fine_shape = trace.up_ctxs[0][-1].saved["x"].shape
+    coarse_shape = trace.down_ctxs[-1][-1].saved["x"].shape
+    d_gap_fine = d_pooled.data[:, :fine_shape[1]]
+    d_gap_coarse = d_pooled.data[:, fine_shape[1]:]
 
     # Accumulators for gradient flowing into each F_k.
     d_f = [None] * stages
@@ -247,7 +245,7 @@ def backward(params, trace, d_logits):
     # Top-down stream in reverse application order: refine stage 1 ran
     # last, so its backward runs first; each upsample2 backward hands the
     # gradient to the next coarser B.
-    d_b = _gap_backward(d_gap_fine, trace.b_maps[0].shape)
+    d_b = _gap_backward(d_gap_fine, fine_shape)
     for k in range(1, stages):
         up_ctx, cat_ctx, conv_ctx, relu_ctx = trace.up_ctxs[k - 1]
         d_conv = relu_backward(relu_ctx, Tensor(d_b))
@@ -258,7 +256,7 @@ def backward(params, trace, d_logits):
         d_b = upsample2_backward(up_ctx, d_up).data
 
     # d_b now holds the gradient into B_K = F_K; add the head's GAP path.
-    d_f[stages - 1] = d_b + _gap_backward(d_gap_coarse, trace.f_maps[-1].shape)
+    d_f[stages - 1] = d_b + _gap_backward(d_gap_coarse, coarse_shape)
 
     # Bottom-up stream in reverse: stage K first, handing d(stage input)
     # down to stage K-1's output accumulator.
@@ -277,25 +275,6 @@ def predict(params, batch):
     """Class index per item: argmax over logits, ties to the lowest index."""
     logits, _ = forward(params, batch)
     return np.argmax(logits.data, axis=1)
-
-
-def _check_parameters(config, bias_value=0.25):
-    """Float64 parameters for gradient checking.
-
-    Weights are He-initialized from ``config.seed``; biases hold a small
-    positive constant instead of zero so no conv channel's pre-activation
-    distribution is centred exactly on the ReLU kink.
-    """
-    rng = np.random.default_rng(config.seed)
-    params = {}
-    for name, shape in parameter_shapes(config).items():
-        if name.endswith("_b"):
-            params[name] = Tensor(np.full(shape, bias_value), dtype=np.float64)
-        else:
-            fan_in = shape[0] if len(shape) == 2 else int(np.prod(shape[1:]))
-            std = math.sqrt(2.0 / fan_in)
-            params[name] = Tensor(rng.standard_normal(shape) * std, dtype=np.float64)
-    return params
 
 
 def _kink_margin(trace):
@@ -348,7 +327,12 @@ def full_model_gradcheck(config=None, seed=0, h=1e-3, batch=2,
     if config is None:
         config = ModelConfig(input_size=8, input_channels=1, stages=2,
                              channels=(2, 3), classes=3, seed=seed)
-    params = _check_parameters(config)
+    params = build_model(config, np.float64)
+    # A small positive bias keeps no conv channel's pre-activation
+    # distribution centred exactly on the ReLU kink.
+    for name, tensor in params.items():
+        if name.endswith("_b"):
+            tensor.data[...] = 0.25
     for attempt in range(max_attempts):
         rng = np.random.default_rng((seed, attempt))
         x = Tensor(rng.random((batch, config.input_channels,

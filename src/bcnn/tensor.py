@@ -2,7 +2,10 @@
 
 Every primitive returns its output together with an :class:`OpContext`
 holding exactly the values its backward rule needs; there is no autodiff
-graph.  Conventions fixed here and relied on everywhere else:
+graph.  A context holds only arrays the forward pass computes anyway: its
+inputs, its output, or the conv's unfolded or padded input.  ReLU keeps
+just its input and recomputes its mask in backward.  Conventions fixed
+here and relied on everywhere else:
 
 - image batches are laid out ``(batch, channels, height, width)``;
 - convolution is cross-correlation (no kernel flip) with zero padding and
@@ -30,7 +33,6 @@ from .errors import ConsistencyError, DimensionError, NumericError
 __all__ = [
     "Tensor",
     "OpContext",
-    "matmul",
     "conv2d",
     "conv2d_backward",
     "maxpool2",
@@ -94,12 +96,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def astype(self, dtype):
-        return Tensor(self.data, dtype=dtype)
-
-    def copy(self):
-        return Tensor(self.data.copy())
-
     @classmethod
     def zeros(cls, shape, dtype=np.float32):
         return cls(np.zeros(shape, dtype=dtype))
@@ -135,19 +131,6 @@ def _take(ctx, op):
         got = ctx.op if isinstance(ctx, OpContext) else type(ctx).__name__
         raise ConsistencyError(f"backward for '{op}' received a context for '{got}'")
     return ctx.saved
-
-
-# ---------------------------------------------------------------------------
-# matmul
-
-
-def matmul(a, b):
-    """Rank-2 matrix product ``a @ b``."""
-    _require(a.rank == 2 and b.rank == 2,
-             f"matmul needs two rank-2 tensors, got ranks {a.rank} and {b.rank}")
-    _require(a.shape[1] == b.shape[0],
-             f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    return Tensor(a.data @ b.data)
 
 
 # ---------------------------------------------------------------------------
@@ -342,19 +325,18 @@ def maxpool2_backward(ctx, grad_out):
 
 
 def relu(x):
-    """Elementwise max(x, 0).  The context keeps the input values so
-    diagnostics can measure how close the pass came to the kink."""
-    mask = x.data > 0
-    ctx = OpContext("relu", {"mask": mask, "x": x.data})
-    return Tensor(np.where(mask, x.data, x.data.dtype.type(0))), ctx
+    """Elementwise max(x, 0).  The context keeps only the input ``x``:
+    backward recomputes the mask ``x > 0`` from it, and diagnostics read
+    it to measure how close the pass came to the kink."""
+    out = np.where(x.data > 0, x.data, x.data.dtype.type(0))
+    return Tensor(out), OpContext("relu", {"x": x.data})
 
 
 def relu_backward(ctx, grad_out):
-    saved = _take(ctx, "relu")
-    mask = saved["mask"]
-    _require(grad_out.shape == mask.shape,
-             f"relu upstream gradient has shape {grad_out.shape}, expected {mask.shape}")
-    return Tensor(np.where(mask, grad_out.data, grad_out.data.dtype.type(0)))
+    x = _take(ctx, "relu")["x"]
+    _require(grad_out.shape == x.shape,
+             f"relu upstream gradient has shape {grad_out.shape}, expected {x.shape}")
+    return Tensor(np.where(x > 0, grad_out.data, grad_out.data.dtype.type(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +352,19 @@ def upsample2(x):
 
 
 def upsample2_backward(ctx, grad_out):
-    """Each source pixel collects the sum over its 2x2 output block."""
+    """Each source pixel collects the sum over its 2x2 output block, added
+    as (top-left + top-right) + (bottom-left + bottom-right) + 0.0.  The
+    trailing +0.0, like numpy's own sum, turns a block of four -0.0 into
+    +0.0 and changes nothing else."""
     saved = _take(ctx, "upsample2")
     batch, chans, height, width = saved["x_shape"]
     _require(grad_out.shape == (batch, chans, 2 * height, 2 * width),
              f"upsample2 upstream gradient has shape {grad_out.shape}, "
              f"expected {(batch, chans, 2 * height, 2 * width)}")
-    g = grad_out.data.reshape(batch, chans, height, 2, width, 2)
-    return Tensor(np.ascontiguousarray(g.sum(axis=(3, 5))))
+    tl, tr, bl, br = (grad_out.data[:, :, di::2, dj::2] for di, dj in _CORNERS)
+    d_x = (tl + tr) + (bl + br)
+    d_x += 0.0
+    return Tensor(d_x)
 
 
 # ---------------------------------------------------------------------------

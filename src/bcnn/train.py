@@ -51,8 +51,6 @@ class TrainConfig:
     val_ratio: float = 0.25
     seed: int = 0
     optimizer: str = "adam"
-    log_path: str = None
-    checkpoint_path: str = None
     augment: AugmentSpec = None
     augment_before_split: bool = False
 
@@ -84,18 +82,12 @@ class EpochRecord:
 
 @dataclass
 class Checkpoint:
-    """A model snapshot: config, parameters, and in-memory run metadata.
-
-    ``train_seed`` and ``epoch`` describe the run that produced the
-    snapshot; they are not part of the serialized layout, so they are
-    ``None`` on checkpoints read back from disk.
-    """
+    """A model snapshot: format version, config, and parameters, which is
+    everything the serialized layout stores."""
 
     version: int
     config: ModelConfig
     params: dict
-    train_seed: int = None
-    epoch: int = None
 
 
 def _epoch_metrics(params, manifest, batch_size, size, where):
@@ -251,8 +243,9 @@ def load_checkpoint(path):
     Bad magic raises :class:`FormatError`, an unsupported version raises
     :class:`VersionError`, and truncation, undecodable or duplicate tensor
     names, extents that overrun the file, or shape mismatches raise
-    :class:`IntegrityError`.  Run metadata (train seed, epoch) is not in
-    the file, so it comes back ``None``.
+    :class:`IntegrityError`; no other exception escapes for any file
+    contents.  The returned :class:`Checkpoint` holds exactly what the
+    file stores.
     """
     reader = _Reader(Path(path).read_bytes())
     magic = reader.take(4)

@@ -1,5 +1,6 @@
 """Cascade architecture: shapes, determinism, both streams, gradients."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from bcnn.errors import ConfigError, ConsistencyError, DimensionError
 from bcnn.model import (
+    ForwardTrace,
     ModelConfig,
     backward,
     build_model,
@@ -117,10 +119,21 @@ def test_forward_trace_resolution_ladder():
     config = ModelConfig()
     params = build_model(config)
     _, trace = forward(params, batch_of(np.random.default_rng(2), config, 2))
-    assert [f.shape for f in trace.f_maps] == [
+    # F_k and B_k are the ReLU outputs of stage k's forward and refine convs
+    assert [ctxs[-1].saved["x"].shape for ctxs in trace.down_ctxs] == [
         (2, 16, 32, 32), (2, 32, 16, 16), (2, 64, 8, 8)]
-    assert [b.shape for b in trace.b_maps] == [(2, 16, 32, 32), (2, 32, 16, 16)]
-    assert trace.pooled.shape == (2, 16 + 64)
+    assert [ctxs[-1].saved["x"].shape for ctxs in trace.up_ctxs] == [
+        (2, 16, 32, 32), (2, 32, 16, 16)]
+    assert trace.head_ctx.saved["x"].shape == (2, 16 + 64)
+
+
+def test_forward_trace_keeps_only_what_backward_reads():
+    params = build_model(TINY)
+    _, trace = forward(params, batch_of(np.random.default_rng(2), TINY, 2))
+    assert [f.name for f in dataclasses.fields(ForwardTrace)] == [
+        "down_ctxs", "up_ctxs", "head_ctx", "param_shapes"]
+    relu_ctxs = [ctxs[-1] for ctxs in trace.down_ctxs + trace.up_ctxs]
+    assert all(set(ctx.saved) == {"x"} for ctx in relu_ctxs)
 
 
 def test_forward_permuting_batch_permutes_logits():

@@ -20,7 +20,6 @@ from bcnn.tensor import (
     dense,
     dense_backward,
     finite_diff_gradcheck,
-    matmul,
     max_relative_error,
     maxpool2,
     maxpool2_backward,
@@ -74,34 +73,6 @@ def test_tensor_zeros_and_full():
     assert z.shape == (2, 3) and float(np.abs(z.data).max()) == 0.0
     f = Tensor.full((4,), 2.5)
     assert np.array_equal(f.data, np.full(4, 2.5, dtype=np.float32))
-
-
-# ---------------------------------------------------------------------------
-# matmul
-
-
-def test_matmul_identity():
-    a = t([[1.0, 2.0], [3.0, 4.0]])
-    out = matmul(t(np.eye(2)), a)
-    assert np.array_equal(out.data, a.data)
-
-
-def test_matmul_hand_expansion():
-    # [[1*5+2*7, 1*6+2*8], [3*5+4*7, 3*6+4*8]]
-    out = matmul(t([[1.0, 2.0], [3.0, 4.0]]), t([[5.0, 6.0], [7.0, 8.0]]))
-    assert np.array_equal(out.data, np.array([[19.0, 22.0], [43.0, 50.0]]))
-
-
-def test_matmul_zero_annihilator():
-    rng = np.random.default_rng(0)
-    out = matmul(Tensor.zeros((2, 3), dtype=np.float64), t(rng.random((3, 4))))
-    assert out.shape == (2, 4) and float(np.abs(out.data).max()) == 0.0
-
-
-def test_matmul_shape_mismatch_names_both_shapes():
-    with pytest.raises(DimensionError) as err:
-        matmul(t(np.ones((2, 3))), t(np.ones((4, 2))))
-    assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +208,30 @@ def test_upsample2_backward_on_ones_is_four():
     _, ctx = upsample2(x)
     dx = upsample2_backward(ctx, Tensor(np.ones((2, 3, 8, 8))))
     assert np.array_equal(dx.data, np.full(x.shape, 4.0))
+
+
+def test_upsample2_backward_matches_the_reshaped_block_sum_bit_for_bit():
+    # The block sum over a (B, C, H, 2, W, 2) view, summed over both
+    # length-2 axes, is the reference; the strided-slice sum must give the
+    # same bits, signed zeros included.
+    rng = np.random.default_rng(8)
+    for shape in ((3, 4, 6, 10), (2, 32, 32, 32)):  # the second is refine1's at 64x64
+        batch, chans, height, width = shape
+        cases = [
+            rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, size=shape),
+            rng.integers(-2 ** 20, 2 ** 20, size=shape).astype(np.float64),
+            rng.choice([0.0, -0.0, 1.0, -1.0], size=shape),
+        ]
+        for dtype in (np.float32, np.float64):
+            for g in cases:
+                g = g.astype(dtype)
+                _, ctx = upsample2(Tensor.zeros((batch, chans, height // 2, width // 2),
+                                                dtype=dtype))
+                got = upsample2_backward(ctx, Tensor(g)).data
+                want = g.reshape(batch, chans, height // 2, 2, width // 2, 2).sum(axis=(3, 5))
+                assert got.dtype == dtype
+                assert np.array_equal(got.view(f"u{got.itemsize}"),
+                                      want.view(f"u{want.itemsize}"))
 
 
 # ---------------------------------------------------------------------------

@@ -205,13 +205,12 @@ def expected_file_length(params, config):
 def test_checkpoint_roundtrip_bitwise(tmp_path, trained):
     _, params, _ = trained
     path = tmp_path / "model.bcnn"
-    save_checkpoint(path, Checkpoint(1, MODEL, params, train_seed=1, epoch=2))
+    save_checkpoint(path, Checkpoint(1, MODEL, params))
     assert path.stat().st_size == expected_file_length(params, MODEL)
 
     loaded = load_checkpoint(path)
     assert loaded.config == MODEL
     assert loaded.version == 1
-    assert loaded.train_seed is None and loaded.epoch is None
     assert set(loaded.params) == set(params)
     for name in params:
         assert np.array_equal(loaded.params[name].data, params[name].data)
