@@ -312,38 +312,40 @@ def label_components(mask, diagonal=True):
     8-connectivity (used for dark distress pixels) over 4-connectivity
     (used for background regions, so a hairline diagonal crack still
     separates the cells it encloses).
+
+    Components are numbered in the row-major order of their first pixel:
+    each masked pixel starts with its flat index as its root, and each
+    pass hooks a pixel and its root to the smallest root next to it, then
+    jumps every root to its root's root (Shiloach & Vishkin, 1982), until
+    no pixel has a neighbour with a smaller root.
     """
     mask = np.asarray(mask, dtype=bool)
     height, width = mask.shape
-    labels = np.zeros((height, width), dtype=np.int32)
+    flat = mask.ravel()
+    none = height * width  # the background's root; roots[none] == none
+    roots = np.full(none + 1, none, dtype=np.intp)
+    roots[:-1][flat] = np.flatnonzero(flat)
+    padded = np.full((height + 2, width + 2), none, dtype=np.intp)
+    inner = padded[1:-1, 1:-1]
     if diagonal:
         steps = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
     else:
         steps = ((-1, 0), (1, 0), (0, -1), (0, 1))
-    count = 0
-    for r0, c0 in zip(*np.nonzero(mask)):
-        if labels[r0, c0]:
-            continue
-        count += 1
-        labels[r0, c0] = count
-        stack = [(r0, c0)]
-        while stack:
-            r, c = stack.pop()
-            for dr, dc in steps:
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < height and 0 <= cc < width and mask[rr, cc] and not labels[rr, cc]:
-                    labels[rr, cc] = count
-                    stack.append((rr, cc))
-    return labels, count
-
-
-def _component_extents(labels, count):
-    """Per-component (min_r, max_r, min_c, max_c, area)."""
-    out = []
-    for c in range(1, count + 1):
-        ys, xs = np.nonzero(labels == c)
-        out.append((ys.min(), ys.max(), xs.min(), xs.max(), ys.size))
-    return out
+    while True:
+        inner[...] = roots[:-1].reshape(height, width)
+        low = inner.copy()
+        for dr, dc in steps:
+            np.minimum(low, padded[1 + dr:1 + dr + height, 1 + dc:1 + dc + width], out=low)
+        low = np.where(flat, low.ravel(), none)
+        if np.array_equal(low, roots[:-1]):
+            break
+        np.minimum.at(roots, roots[:-1].copy(), low)
+        np.minimum(roots[:-1], low, out=roots[:-1])
+        roots = roots[roots]
+    first, numbered = np.unique(roots[:-1][flat], return_inverse=True)
+    labels = np.zeros((height, width), dtype=np.int32)
+    labels[mask] = numbered + 1
+    return labels, len(first)
 
 
 def _draw_background(size, rng):
@@ -431,36 +433,33 @@ def _draw_pothole(size, rng):
     return canvas
 
 
+def _border_labels(labels):
+    """The sets of component labels on the top, bottom, left and right borders."""
+    return [set(edge.tolist()) - {0}
+            for edge in (labels[0], labels[-1], labels[:, 0], labels[:, -1])]
+
+
 def _signature_ok(label, canvas):
     """Does the drawn image carry its class's defining structure?"""
-    size = canvas.shape[0]
     mask = canvas < DARK_THRESHOLD
     labels, count = label_components(mask, diagonal=True)
     if count == 0:
         return False
-    extents = _component_extents(labels, count)
+    top, bottom, left, right = _border_labels(labels)
     name = CLASS_NAMES[label]
     if name == "linear":
-        return any(
-            (min_r == 0 and max_r == size - 1) or (min_c == 0 and max_c == size - 1)
-            for min_r, max_r, min_c, max_c, _ in extents)
+        return bool(top & bottom or left & right)
     if name == "fatigue":
-        web = any(min_r == 0 and max_r == size - 1 and min_c == 0 and max_c == size - 1
-                  for min_r, max_r, min_c, max_c, _ in extents)
-        if not web:
+        if not top & bottom & left & right:
             return False
         bg_labels, bg_count = label_components(~mask, diagonal=False)
-        border = np.concatenate([bg_labels[0], bg_labels[-1], bg_labels[:, 0], bg_labels[:, -1]])
-        open_ids = set(np.unique(border)) - {0}
-        return bg_count > len(open_ids)
+        return bg_count > len(set.union(*_border_labels(bg_labels)))
     if name == "potholes":
-        if count != 1:
+        if count != 1 or top | bottom | left | right:
             return False
-        min_r, max_r, min_c, max_c, area = extents[0]
-        if min_r == 0 or min_c == 0 or max_r == size - 1 or max_c == size - 1:
-            return False
-        bbox = (max_r - min_r + 1) * (max_c - min_c + 1)
-        return area / bbox >= 0.6
+        ys, xs = np.nonzero(mask)
+        bbox = (ys.max() - ys.min() + 1) * (xs.max() - xs.min() + 1)
+        return ys.size / bbox >= 0.6
     raise ConfigError(f"unknown class label {label}")
 
 

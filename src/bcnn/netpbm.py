@@ -3,7 +3,7 @@
 Only maxval 255 is supported.  Headers may contain ``#`` comments between
 tokens; exactly one whitespace byte separates the maxval from the pixel
 payload.  Color images collapse to grayscale with the integer luma
-weighting round(0.299 R + 0.587 G + 0.114 B).
+(299 R + 587 G + 114 B + 500) // 1000.
 """
 
 import numpy as np

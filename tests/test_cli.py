@@ -1,6 +1,8 @@
 """End-to-end command-line coverage: every subcommand plus the exit-code
 taxonomy (0 ok, 1 usage, 2 runtime, 3 failed gradient check)."""
 
+import struct
+
 import pytest
 
 from bcnn.cli import main
@@ -215,8 +217,13 @@ def test_runtime_errors_exit_2(tmp_path, corpus_dir, run_dir, capsys):
 def test_predict_rejects_corrupt_checkpoint_exit_2(tmp_path, corpus_dir, run_dir, capsys):
     good = (run_dir / "model.bcnn").read_bytes()
     name = good.index(b"fwd1_w")
-    bad = tmp_path / "bad_name.bcnn"
-    bad.write_bytes(good[:name] + b"\xff" + good[name + 1:])
+    bad_name = tmp_path / "bad_name.bcnn"
+    bad_name.write_bytes(good[:name] + b"\xff" + good[name + 1:])
+    # A 2^21 input size loads, then resizing to it asks for a 4 TiB image.
+    huge_size = tmp_path / "huge_size.bcnn"
+    huge_size.write_bytes(good[:8] + struct.pack("<I", 2 ** 21) + good[12:])
     image = corpus_dir / "fatigue" / "fatigue_0000.pgm"
-    assert main(["predict", "--image", str(image), "--checkpoint", str(bad)]) == 2
-    assert "error:" in capsys.readouterr().err
+    for bad in (bad_name, huge_size):
+        for argv in (["predict", "--image", str(image)], ["eval", "--data", str(corpus_dir)]):
+            assert main(argv + ["--checkpoint", str(bad)]) == 2
+            assert "error:" in capsys.readouterr().err

@@ -4,6 +4,8 @@ Connected-component claims about synthetic images are verified with
 scipy.ndimage as an oracle independent of the package's own labeling.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -26,6 +28,7 @@ from bcnn.data import (
     to_batches,
     write_manifest_csv,
 )
+from bcnn.data import _DRAWERS, _signature_ok
 from bcnn.errors import ConfigError, ConsistencyError, CorpusError, DimensionError
 from bcnn.netpbm import read_image, rgb_to_gray, write_pgm, write_ppm
 
@@ -404,6 +407,42 @@ def spans_opposite_borders(mask):
     return False
 
 
+def is_fatigue_web(mask):
+    """One dark component touches all four borders, and the web encloses at
+    least one background cell (4-connected, not reaching any border)."""
+    labels, count = ndimage.label(mask, structure=EIGHT)
+    size = mask.shape[0]
+    touches_all = False
+    for comp in range(1, count + 1):
+        ys, xs = np.nonzero(labels == comp)
+        if ys.min() == 0 and ys.max() == size - 1 and xs.min() == 0 and xs.max() == size - 1:
+            touches_all = True
+    if not touches_all:
+        return False
+    bg_labels, bg_count = ndimage.label(~mask)
+    border_ids = set(np.unique(np.concatenate([
+        bg_labels[0], bg_labels[-1], bg_labels[:, 0], bg_labels[:, -1]]))) - {0}
+    return bg_count > len(border_ids)
+
+
+def is_compact_blob(mask):
+    """A single dark component, off every border, filling at least 60% of
+    its bounding box."""
+    _, count = ndimage.label(mask, structure=EIGHT)
+    if count != 1:
+        return False
+    ys, xs = np.nonzero(mask)
+    size = mask.shape[0]
+    if not (ys.min() > 0 and xs.min() > 0 and ys.max() < size - 1 and xs.max() < size - 1):
+        return False
+    bbox = (ys.max() - ys.min() + 1) * (xs.max() - xs.min() + 1)
+    return ys.size / bbox >= 0.6
+
+
+SIGNATURE_ORACLES = {"fatigue": is_fatigue_web, "linear": spans_opposite_borders,
+                     "potholes": is_compact_blob}
+
+
 def test_synth_deterministic_per_key():
     for name in CLASS_NAMES:
         a = synth_generate(name, 32, seed=5)
@@ -421,34 +460,12 @@ def test_synth_linear_component_spans_borders():
 
 def test_synth_pothole_single_compact_blob():
     for seed in range(20):
-        item = synth_generate("potholes", 48, seed)
-        mask = dark_mask(item)
-        labels, count = ndimage.label(mask, structure=EIGHT)
-        assert count == 1
-        ys, xs = np.nonzero(mask)
-        size = item.pixels.shape[0]
-        assert ys.min() > 0 and xs.min() > 0 and ys.max() < size - 1 and xs.max() < size - 1
-        bbox = (ys.max() - ys.min() + 1) * (xs.max() - xs.min() + 1)
-        assert ys.size / bbox >= 0.6
+        assert is_compact_blob(dark_mask(synth_generate("potholes", 48, seed)))
 
 
 def test_synth_fatigue_web_with_closed_cells():
     for seed in range(20):
-        item = synth_generate("fatigue", 48, seed)
-        mask = dark_mask(item)
-        size = mask.shape[0]
-        labels, count = ndimage.label(mask, structure=EIGHT)
-        touches_all = False
-        for comp in range(1, count + 1):
-            ys, xs = np.nonzero(labels == comp)
-            if ys.min() == 0 and ys.max() == size - 1 and xs.min() == 0 and xs.max() == size - 1:
-                touches_all = True
-        assert touches_all
-        # at least one background cell is fully enclosed by the crack web
-        bg_labels, bg_count = ndimage.label(~mask)
-        border_ids = set(np.unique(np.concatenate([
-            bg_labels[0], bg_labels[-1], bg_labels[:, 0], bg_labels[:, -1]]))) - {0}
-        assert bg_count > len(border_ids)
+        assert is_fatigue_web(dark_mask(synth_generate("fatigue", 48, seed)))
 
 
 def test_synth_signatures_hold_across_100_seeds():
@@ -468,14 +485,69 @@ def test_synth_validation():
         synth_generate("linear", 32, -1)
 
 
+def raw_draw(name, size, seed):
+    """One canvas straight from a class's drawer, before any signature check."""
+    return _DRAWERS[name](size, np.random.default_rng((size, seed)))
+
+
 def test_label_components_agrees_with_scipy():
+    # ndimage.label also numbers components in the row-major order of
+    # their first pixel, so the whole label arrays must match.
     rng = np.random.default_rng(9)
-    for _ in range(25):
-        mask = rng.random((12, 12)) < 0.4
+    masks = [rng.random((12, 12)) < 0.4 for _ in range(25)]
+    for name in CLASS_NAMES:
+        for seed in range(3):
+            dark = raw_draw(name, 64, seed) < DARK_THRESHOLD
+            masks += [dark, ~dark]
+    snake = np.zeros((31, 31), dtype=bool)  # one 511-pixel path, turning at each border
+    snake[::2] = True
+    snake[1::4, -1] = True
+    snake[3::4, 0] = True
+    masks.append(snake)
+    for mask in masks:
         for diagonal, structure in ((True, EIGHT), (False, None)):
-            _, mine = label_components(mask, diagonal=diagonal)
-            _, theirs = ndimage.label(mask, structure=structure)
-            assert mine == theirs
+            mine, mine_count = label_components(mask, diagonal=diagonal)
+            theirs, theirs_count = ndimage.label(mask, structure=structure)
+            assert mine_count == theirs_count
+            assert mine.dtype == np.int32
+            assert np.array_equal(mine, theirs)
+
+
+def test_signature_check_matches_the_oracles_on_raw_draws():
+    # Raw draws, most of which carry another class's structure, so the
+    # rejections are exercised as much as the acceptances.  The crafted
+    # crack spans only two opposite borders but encloses a cell in a loop.
+    looped = np.full((32, 32), 200, dtype=np.uint8)
+    looped[:, 10] = 50
+    looped[12:17, 10:15] = 50
+    looped[13:16, 11:14] = 200
+    canvases = [looped, looped.T] + [raw_draw(name, size, seed) for name in CLASS_NAMES
+                                     for size in (32, 64) for seed in range(20)]
+    outcomes = set()
+    for i, canvas in enumerate(canvases):
+        mask = canvas < DARK_THRESHOLD
+        for label, signature in enumerate(CLASS_NAMES):
+            got = _signature_ok(label, canvas)
+            assert got == SIGNATURE_ORACLES[signature](mask), (i, signature)
+            outcomes.add((signature, bool(got)))
+    assert len(outcomes) == 2 * len(CLASS_NAMES)
+
+
+# The first attempt of ("potholes", 32, 183) fails its signature, so the
+# grid also covers a redraw.
+SYNTH_GRID = [(name, size, seed) for name in CLASS_NAMES for size in (32, 64, 96)
+              for seed in range(3)] + [("potholes", 32, 183)]
+
+
+def test_synth_pixels_are_pinned():
+    label = CLASS_NAMES.index("potholes")
+    first = _DRAWERS["potholes"](32, np.random.default_rng((label, 32, 183, 0)))
+    assert not _signature_ok(label, first)
+    digest = hashlib.sha256()
+    for name, size, seed in SYNTH_GRID:
+        digest.update(synth_generate(name, size, seed).pixels.tobytes())
+    assert digest.hexdigest() == (
+        "50140d62e365bbf2ad9c44fd9155173ac37c54324ef15eb1c47ece29e403d290")
 
 
 # ---------------------------------------------------------------------------
