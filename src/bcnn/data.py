@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import (BcnnError, ConfigError, ConsistencyError, CorpusError,
                      DimensionError)
 from .netpbm import read_image
@@ -558,4 +559,4 @@ def write_manifest_csv(manifest, path):
         if not item.path:
             raise ConfigError("cannot export a manifest whose items have no file paths")
         lines.append(f"{item.path},{item.label},{manifest.class_names[item.label]}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))

@@ -10,10 +10,10 @@ P + R = 0) are all defined as 0.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import ConfigError, DimensionError
 
 __all__ = [
@@ -202,7 +202,7 @@ def write_report_csv(report, path):
     lines.append(f"weighted,{agg.weighted_precision:.4f},{agg.weighted_recall:.4f},"
                  f"{agg.weighted_f1:.4f},{total}")
     lines.append(f"accuracy,,,,{agg.accuracy:.4f}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def format_report(report):

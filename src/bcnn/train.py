@@ -4,21 +4,37 @@ Training is deterministic end to end: the split, the model init, and
 every epoch's batch shuffle derive from the configured seed, so two runs
 with the same corpus and configuration produce bitwise-identical
 checkpoints and logs.
+
+Each batch of n >= 2 images runs as two fixed halves, rows
+``[0, ceil(n/2))`` and the rest, on up to two threads (one when the
+process may use only one core).  The loss and its gradient come from the
+whole batch's logits, and each parameter gradient is added as first half
+plus second half.  While :func:`train` and :func:`evaluate` run, OpenBLAS
+is held at one thread for the whole process, so the results are
+bit-identical whatever the core count or ``OPENBLAS_NUM_THREADS``.  Where
+OpenBLAS cannot be held, both halves run on the calling thread, with the
+same bits as on two threads at the same BLAS thread count.
 """
 
+import contextlib
+import contextvars
+import ctypes
+import functools
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .data import AugmentSpec, augment_dataset, stratified_split, to_batches
 from .errors import (ConfigError, ConsistencyError, CorpusError, FormatError,
                      IntegrityError, NumericError, TrainingError, UpdateError,
                      VersionError)
 from .metrics import ConfusionMatrix, report_from_matrix
-from .model import ModelConfig, backward, build_model, forward, parameter_shapes, predict
+from .model import ModelConfig, backward, build_model, forward, parameter_shapes
 from .optim import adam_init, adam_step, sgd_step
 from .tensor import Tensor, softmax_xent
 
@@ -90,12 +106,84 @@ class Checkpoint:
     params: dict
 
 
-def _epoch_metrics(params, manifest, batch_size, size, where):
+# Threads that run the halves of a batch: two, or the cores this process may use.
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_setter():
+    """numpy's ``openblas_set_num_threads_local``, which sets the OpenBLAS
+    thread count and returns the previous one; None if its BLAS has none."""
+    try:
+        fn = ctypes.CDLL(np.linalg._umath_linalg.__file__).openblas_set_num_threads_local
+    except (OSError, AttributeError):
+        return None
+    fn.argtypes, fn.restype = (ctypes.c_int,), ctypes.c_int
+    return fn
+
+
+@contextlib.contextmanager
+def _shard_runner():
+    """Holds OpenBLAS at one thread and yields ``run(fn, shards)``, which
+    returns ``[fn(s) for s in shards]`` computed on up to ``_WORKERS``
+    threads.
+
+    Each shard runs in a copy of the caller's context, so ``np.errstate``
+    applies inside it.  Without the hold, the shards run on this thread,
+    where a multithreaded BLAS can use the cores instead.
+    """
+    setter = _openblas_setter()
+    previous = setter(1) if setter is not None else None
+    try:
+        if setter is None or _WORKERS < 2:
+            yield lambda fn, shards: [fn(s) for s in shards]
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(_WORKERS) as pool:
+                def run(fn, shards):
+                    contexts = [contextvars.copy_context() for _ in shards]
+                    return list(pool.map(lambda ctx, s: ctx.run(fn, s), contexts, shards))
+                yield run
+    finally:
+        if setter is not None:
+            setter(previous)
+
+
+def _halves(n):
+    """The fixed shards of a batch of ``n``: rows before ``ceil(n/2)`` and the rest."""
+    cut = (n + 1) // 2
+    return [slice(0, cut), slice(cut, n)] if n >= 2 else [slice(0, n)]
+
+
+def _sharded_forward(run, params, x):
+    """The whole batch's logits, the shards, and each shard's trace."""
+    shards = _halves(x.shape[0])
+    outs = run(lambda s: forward(params, Tensor(x.data[s])), shards)
+    logits = Tensor(np.concatenate([shard_logits.data for shard_logits, _ in outs]))
+    return logits, shards, [trace for _, trace in outs]
+
+
+def _sharded_gradients(run, params, x, y):
+    """Parameter gradients of one batch: each shard's backward gets its
+    rows of the whole batch's ``d_logits``, and the shards' gradients are
+    added in shard order.  The traces are freed on return."""
+    logits, shards, traces = _sharded_forward(run, params, x)
+    loss, d_logits = softmax_xent(logits, y)
+    if not math.isfinite(loss):
+        raise NumericError(f"non-finite training loss {loss}")
+    parts = run(lambda i: backward(params, traces[i], Tensor(d_logits.data[shards[i]])),
+                range(len(shards)))
+    return {name: Tensor(functools.reduce(np.add, (part[name].data for part in parts)))
+            for name in parts[0]}
+
+
+def _epoch_metrics(run, params, manifest, batch_size, size, where):
     """Mean loss and accuracy over a full, unshuffled pass."""
     total_loss, correct, seen = 0.0, 0, 0
     for x, y in to_batches(manifest, batch_size, shuffle_seed=None, size=size):
         try:
-            logits, _ = forward(params, x)
+            logits = _sharded_forward(run, params, x)[0]
             loss, _ = softmax_xent(logits, y)
         except NumericError as exc:
             raise TrainingError(f"non-finite loss during {where}: {exc}") from exc
@@ -139,28 +227,26 @@ def train(manifest, model_config, train_config):
 
     size = model_config.input_size
     records = []
-    for epoch in range(1, train_config.epochs + 1):
-        batches = to_batches(train_m, train_config.batch_size,
-                             shuffle_seed=(train_config.seed, epoch), size=size)
-        for batch_index, (x, y) in enumerate(batches, start=1):
-            try:
-                logits, trace = forward(params, x)
-                loss, d_logits = softmax_xent(logits, y)
-                if not math.isfinite(loss):
-                    raise NumericError(f"non-finite training loss {loss}")
-                grads = backward(params, trace, d_logits)
-                if train_config.optimizer == "adam":
-                    adam_step(opt_state, params, grads)
-                else:
-                    sgd_step(params, grads, train_config.lr)
-            except (NumericError, UpdateError) as exc:
-                raise TrainingError(
-                    f"training diverged at epoch {epoch}, batch {batch_index}: {exc}") from exc
-        train_loss, train_acc = _epoch_metrics(
-            params, train_m, train_config.batch_size, size, f"epoch {epoch} train evaluation")
-        val_loss, val_acc = _epoch_metrics(
-            params, val_m, train_config.batch_size, size, f"epoch {epoch} validation")
-        records.append(EpochRecord(epoch, train_loss, train_acc, val_loss, val_acc))
+    with _shard_runner() as run:
+        for epoch in range(1, train_config.epochs + 1):
+            batches = to_batches(train_m, train_config.batch_size,
+                                 shuffle_seed=(train_config.seed, epoch), size=size)
+            for batch_index, (x, y) in enumerate(batches, start=1):
+                try:
+                    grads = _sharded_gradients(run, params, x, y)
+                    if train_config.optimizer == "adam":
+                        adam_step(opt_state, params, grads)
+                    else:
+                        sgd_step(params, grads, train_config.lr)
+                except (NumericError, UpdateError) as exc:
+                    raise TrainingError(
+                        f"training diverged at epoch {epoch}, batch {batch_index}: {exc}") from exc
+            train_loss, train_acc = _epoch_metrics(
+                run, params, train_m, train_config.batch_size, size,
+                f"epoch {epoch} train evaluation")
+            val_loss, val_acc = _epoch_metrics(
+                run, params, val_m, train_config.batch_size, size, f"epoch {epoch} validation")
+            records.append(EpochRecord(epoch, train_loss, train_acc, val_loss, val_acc))
     return params, records
 
 
@@ -173,8 +259,10 @@ def evaluate(params, manifest, batch_size=32, input_size=None):
         raise ConsistencyError(
             f"manifest has {len(manifest.class_names)} classes but the model expects {classes}")
     cm = ConfusionMatrix(manifest.class_names)
-    for x, y in to_batches(manifest, batch_size, shuffle_seed=None, size=input_size):
-        cm.accumulate(y, predict(params, x))
+    with _shard_runner() as run:
+        for x, y in to_batches(manifest, batch_size, shuffle_seed=None, size=input_size):
+            logits = _sharded_forward(run, params, x)[0]
+            cm.accumulate(y, np.argmax(logits.data, axis=1))
     return cm, report_from_matrix(cm)
 
 
@@ -213,7 +301,7 @@ def save_checkpoint(path, checkpoint):
         out += struct.pack("<I", tensor.rank)
         out += struct.pack(f"<{tensor.rank}I", *tensor.shape)
         out += np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
-    Path(path).write_bytes(bytes(out))
+    write_atomic(path, bytes(out))
 
 
 class _Reader:
@@ -313,4 +401,4 @@ def write_log(path, records):
     for r in records:
         lines.append(f"{r.epoch},{r.train_loss:.6f},{r.train_acc:.6f},"
                      f"{r.val_loss:.6f},{r.val_acc:.6f}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))

@@ -4,12 +4,15 @@ import os
 import struct
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bcnn
+import bcnn.train
 from bcnn.data import DatasetManifest, stratified_split, synth_generate, to_batches
 from bcnn.errors import (
     ConfigError,
@@ -20,8 +23,8 @@ from bcnn.errors import (
     TrainingError,
     VersionError,
 )
-from bcnn.model import ModelConfig, build_model, forward
-from bcnn.tensor import Tensor
+from bcnn.model import ModelConfig, backward, build_model, forward, predict
+from bcnn.tensor import Tensor, softmax_xent
 from bcnn.train import (
     CHECKPOINT_MAGIC,
     Checkpoint,
@@ -107,10 +110,12 @@ def test_train_is_deterministic(corpus):
 
 
 _DIGEST_SCRIPT = """
-import hashlib
+import hashlib, sys
+import bcnn.train
 from bcnn.data import DatasetManifest, synth_generate
 from bcnn.model import ModelConfig
 from bcnn.train import TrainConfig, train
+bcnn.train._WORKERS = int(sys.argv[1])
 classes = ("fatigue", "linear", "potholes")
 items = [synth_generate(c, 64, i) for c in classes for i in range(8)]
 params, _ = train(DatasetManifest(list(classes), items, provenance="synthetic"),
@@ -123,20 +128,21 @@ print(digest.hexdigest())
 """
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_train_is_bitwise_deterministic_per_blas_thread_count(threads):
-    # Separate processes, so nothing but the code and the BLAS thread
-    # count is shared.  The default 64x64 model has GEMMs large enough
-    # for a threaded BLAS to split.  Bits may differ between thread
-    # counts; they must not differ between runs.
+def test_train_bits_match_across_workers_and_blas_threads():
+    # Separate processes, so nothing but the code, the shard worker count
+    # and the BLAS thread count is shared.  The default 64x64 model has
+    # GEMMs large enough for a threaded BLAS to split; train() holds BLAS
+    # at one thread, so neither count may change a bit.
     src = str(Path(bcnn.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    digests = [subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env=env, check=True,
-                              capture_output=True, text=True).stdout.strip()
-               for _ in range(2)]
-    assert len(digests[0]) == 64
-    assert digests[0] == digests[1]
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for workers in ("1", "2"):
+            digests.add(subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, workers], env=env,
+                                       check=True, capture_output=True, text=True).stdout.strip())
+    assert len(digests) == 1
+    assert len(digests.pop()) == 64
 
 
 def test_train_rejects_class_count_mismatch(corpus):
@@ -158,6 +164,82 @@ def test_train_divergence_abort_names_epoch_and_batch(corpus):
         train(corpus, MODEL, config)
     message = str(err.value)
     assert "epoch 1" in message and "batch" in message
+
+
+def _unsharded_metrics(params, manifest, batch_size):
+    """What train() reports, from whole-batch forwards."""
+    total_loss, correct, seen = 0.0, 0, 0
+    for x, y in to_batches(manifest, batch_size, shuffle_seed=None, size=32):
+        logits, _ = forward(params, x)
+        loss, _ = softmax_xent(logits, y)
+        total_loss += loss * len(y)
+        correct += int((np.argmax(logits.data, axis=1) == y).sum())
+        seen += len(y)
+    return total_loss / seen, correct / seen
+
+
+# 1: one shard per batch; 5: halves of 3 and 2 rows, and the 6 validation
+# images end in a batch of 1; 4: even halves.
+@pytest.mark.parametrize("batch_size", [1, 5, 4])
+def test_sharding_leaves_metrics_and_confusion_matrix_unchanged(corpus, batch_size):
+    config = TrainConfig(epochs=1, batch_size=batch_size, val_ratio=0.25, seed=1)
+    params, records = train(corpus, MODEL, config)
+    train_m, val_m = stratified_split(corpus, 1.0 - config.val_ratio, config.seed)
+    assert len(val_m) == 6
+    # Same BLAS thread count as inside train(), so only the sharding differs.
+    with bcnn.train._shard_runner():
+        val = _unsharded_metrics(params, val_m, batch_size)
+        trn = _unsharded_metrics(params, train_m, batch_size)
+        predicted = np.concatenate([predict(params, x) for x, _ in
+                                    to_batches(corpus, batch_size, shuffle_seed=None, size=32)])
+    assert (records[-1].val_loss, records[-1].val_acc) == val
+    assert (records[-1].train_loss, records[-1].train_acc) == trn
+
+    cm, _ = evaluate(params, corpus, batch_size=batch_size, input_size=32)
+    want = np.zeros_like(cm.matrix)
+    np.add.at(want, ([item.label for item in corpus.items], predicted), 1)
+    assert np.array_equal(cm.matrix, want)
+
+
+@pytest.mark.parametrize("batch", [1, 5, 8])
+def test_sharded_gradients_match_the_whole_batch_gradients(batch):
+    params = build_model(MODEL)
+    rng = np.random.default_rng(batch)
+    x = Tensor(rng.random((batch, 1, 32, 32), dtype=np.float32))
+    y = rng.integers(0, 3, batch)
+    logits, trace = forward(params, x)
+    whole = backward(params, trace, softmax_xent(logits, y)[1])
+    with bcnn.train._shard_runner() as run:
+        sharded = bcnn.train._sharded_gradients(run, params, x, y)
+    assert list(sharded) == list(whole)
+    for name, grad in whole.items():
+        np.testing.assert_allclose(sharded[name].data, grad.data, rtol=1e-5, atol=1e-7)
+
+
+def _blas_threads():
+    """The OpenBLAS thread count, or None where it cannot be read."""
+    setter = bcnn.train._openblas_setter()
+    if setter is None:
+        return None
+    count = setter(1)
+    setter(count)
+    return count
+
+
+def test_train_leaves_no_threads_and_restores_blas_threads(corpus):
+    threads, blas = threading.active_count(), _blas_threads()
+    train(corpus, MODEL, TrainConfig(epochs=1, batch_size=8, seed=1))
+    assert threading.active_count() == threads
+    assert _blas_threads() == blas
+
+    # The shard threads see the caller's np.errstate: the overflows raise
+    # no RuntimeWarning.
+    diverging = TrainConfig(epochs=1, batch_size=8, lr=1e28, optimizer="sgd", seed=0)
+    with np.errstate(all="ignore"), warnings.catch_warnings(), pytest.raises(TrainingError):
+        warnings.simplefilter("error")
+        train(corpus, MODEL, diverging)
+    assert threading.active_count() == threads
+    assert _blas_threads() == blas
 
 
 # ---------------------------------------------------------------------------
