@@ -128,19 +128,31 @@ print(digest.hexdigest())
 """
 
 
-def test_train_bits_match_across_workers_and_blas_threads():
-    # Separate processes, so nothing but the code, the shard worker count
-    # and the BLAS thread count is shared.  The default 64x64 model has
-    # GEMMs large enough for a threaded BLAS to split; train() holds BLAS
-    # at one thread, so neither count may change a bit.
+def _train_digest(threads, workers):
+    """The parameter digest of a fresh process's train() run."""
     src = str(Path(bcnn.__file__).resolve().parents[1])
-    digests = set()
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        for workers in ("1", "2"):
-            digests.add(subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, workers], env=env,
-                                       check=True, capture_output=True, text=True).stdout.strip())
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, workers], env=env,
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_train_is_bitwise_deterministic_per_blas_thread_count(threads):
+    # Separate processes, so nothing but the code and the BLAS thread
+    # count is shared.  The default 64x64 model has GEMMs large enough
+    # for a threaded BLAS to split.  Two runs at one thread count must
+    # not differ, here with one and with two shard workers.
+    digests = [_train_digest(threads, workers) for workers in ("1", "2")]
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
+
+
+def test_train_bits_match_across_workers_and_blas_threads():
+    # train() holds BLAS at one thread, so neither the worker count nor
+    # OPENBLAS_NUM_THREADS may change a bit.
+    digests = {_train_digest(threads, workers)
+               for threads in ("1", "2") for workers in ("1", "2")}
     assert len(digests) == 1
     assert len(digests.pop()) == 64
 
