@@ -271,6 +271,8 @@ class AugmentSpec:
         self.brightness = tuple(float(b) for b in self.brightness)
         if not (self.rotations and self.scales and self.brightness):
             raise ConfigError("every augmentation parameter set needs at least one value")
+        if not all(np.isfinite(self.rotations)):
+            raise ConfigError(f"rotation angles must be finite, got {self.rotations}")
         if any(not 0.5 <= s <= 2.0 for s in self.scales):
             raise ConfigError(f"scale factors must lie in [0.5, 2.0], got {self.scales}")
         if any(not 0.25 <= b <= 4.0 for b in self.brightness):

@@ -30,8 +30,8 @@ class AdamState:
 
 def adam_init(params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
     """Fresh Adam state with zeroed moments mirroring ``params``."""
-    if not lr > 0:
-        raise ConfigError(f"learning rate must be positive, got {lr}")
+    if not 0 < lr < np.inf:
+        raise ConfigError(f"learning rate must be positive and finite, got {lr}")
     if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
         raise ConfigError(f"betas must lie in [0, 1), got {beta1} and {beta2}")
     if not eps > 0:
@@ -91,8 +91,8 @@ def adam_step(state, params, grads):
 
 def sgd_step(params, grads, lr):
     """Plain gradient descent: ``p -= lr * g``, in place."""
-    if not lr > 0:
-        raise ConfigError(f"learning rate must be positive, got {lr}")
+    if not 0 < lr < np.inf:
+        raise ConfigError(f"learning rate must be positive and finite, got {lr}")
     _validate_grads(params, grads)
     for name, p in params.items():
         p.data -= lr * grads[name].data

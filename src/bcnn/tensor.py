@@ -3,9 +3,9 @@
 Every primitive returns its output together with an :class:`OpContext`
 holding exactly the values its backward rule needs; there is no autodiff
 graph.  A context holds only arrays the forward pass computes anyway: its
-inputs, its output, or the conv's unfolded or padded input.  ReLU keeps
-just its input and recomputes its mask in backward.  Conventions fixed
-here and relied on everywhere else:
+inputs, its output, or the conv's unfolded input.  ReLU keeps just its
+input and recomputes its mask in backward.  Conventions fixed here and
+relied on everywhere else:
 
 - image batches are laid out ``(batch, channels, height, width)``;
 - convolution is cross-correlation (no kernel flip) with zero padding and
@@ -17,8 +17,10 @@ here and relied on everywhere else:
   batch 32 with one OpenBLAS 0.3.31 thread on an x86-64 Xeon: the
   cascade's refinement convs take three times more channels than they
   emit (48->16, 96->32), and on them shift-accumulate is 1.8-2.5x faster
-  forward and 2.2-2.9x faster backward than im2col with col2im; on the
-  forward-cascade convs (1->16, 16->32, 32->64) im2col is 1.5-28x faster;
+  than im2col; on the forward-cascade convs (1->16, 16->32, 32->64)
+  im2col is 1.5-28x faster;
+- the conv's input gradient is the forward correlation of the transposed
+  problem (the kernel flipped, its channels swapped), under the same rule;
 - ReLU has gradient 0 at exactly 0, and max pooling breaks ties toward the
   lowest flat index;
 - storage is float32 by default, while gradient checking runs in float64.
@@ -146,28 +148,25 @@ def _im2col(x, kh, kw, stride, out_h, out_w):
     return np.ascontiguousarray(cols)
 
 
-def _col2im(cols, x_shape, kh, kw, stride, out_h, out_w):
-    """Scatter-add patch columns back onto an array of shape ``x_shape``."""
-    batch, chans, height, width = x_shape
-    out = np.zeros(x_shape, dtype=cols.dtype)
-    patches = cols.reshape(batch, chans, kh, kw, out_h, out_w)
-    for i, j, ys, xs in _taps(kh, kw, stride, out_h, out_w):
-        out[:, :, ys, xs] += patches[:, :, i, j]
-    return out
-
-
-def _taps(kh, kw, stride, out_h, out_w):
-    """Each kernel offset (i, j) with the rows and columns of the padded
-    input that it meets across the output grid."""
-    for i in range(kh):
-        for j in range(kw):
-            yield i, j, slice(i, i + stride * out_h, stride), slice(j, j + stride * out_w, stride)
-
-
-def _kernel_rows(w):
-    """(C_out, C_in, kh, kw) kernel as a (C_out*kh*kw, C_in) matrix, rows (o, i, j)."""
-    c_out, c_in, kh, kw = w.shape
-    return w.transpose(0, 2, 3, 1).reshape(c_out * kh * kw, c_in)
+def _correlate(xp, w, stride, out_h, out_w):
+    """Correlates an already padded input with ``w``; returns the output
+    and its im2col columns, or None for them on the shift-accumulate path."""
+    batch, c_in = xp.shape[:2]
+    c_out, _, kh, kw = w.shape
+    if c_in <= c_out:
+        cols = _im2col(xp, kh, kw, stride, out_h, out_w)
+        out = np.matmul(w.reshape(c_out, c_in * kh * kw), cols)
+        return out.reshape(batch, c_out, out_h, out_w), cols
+    # Kernel rows (o, i, j) times the input, then tap (i, j)'s strided window of each plane.
+    rows = w.transpose(0, 2, 3, 1).reshape(c_out * kh * kw, c_in)
+    planes = np.matmul(rows, xp.reshape(batch, c_in, -1))
+    planes = planes.reshape((batch, c_out, kh, kw) + xp.shape[2:])
+    taps = [planes[:, :, i, j, i:i + stride * out_h:stride, j:j + stride * out_w:stride]
+            for i in range(kh) for j in range(kw)]
+    out = taps[0].copy()
+    for tap in taps[1:]:
+        out += tap
+    return out, None
 
 
 def conv2d(x, w, bias, stride=1, pad=0):
@@ -183,8 +182,8 @@ def conv2d(x, w, bias, stride=1, pad=0):
     into ``C_in*kh*kw`` patch rows (im2col) and multiplied by the kernel.
     With ``C_in > C_out`` the kernel rows ``(o, i, j)`` multiply the padded
     input directly and the ``kh*kw`` shifted, strided output planes are
-    summed (shift-accumulate); its context keeps the padded input instead
-    of a ``kh*kw``-fold column buffer.
+    summed (shift-accumulate); its context keeps the input instead of a
+    ``kh*kw``-fold column buffer.
     """
     _require(x.rank == 4, f"conv2d input must be rank 4, got rank {x.rank}")
     _require(w.rank == 4, f"conv2d kernel must be rank 4, got rank {w.rank}")
@@ -193,7 +192,7 @@ def conv2d(x, w, bias, stride=1, pad=0):
         raise DimensionError(f"conv2d stride must be a positive integer, got {stride!r}")
     if not (isinstance(pad, int) and pad >= 0):
         raise DimensionError(f"conv2d pad must be a non-negative integer, got {pad!r}")
-    batch, c_in, height, width = x.shape
+    _, c_in, height, width = x.shape
     c_out, c_w, kh, kw = w.shape
     _require(c_w == c_in,
              f"kernel expects {c_w} input channels but input has {c_in}")
@@ -205,35 +204,26 @@ def conv2d(x, w, bias, stride=1, pad=0):
     out_w = (width + 2 * pad - kw) // stride + 1
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
+    out, cols = _correlate(xp, w.data, stride, out_h, out_w)
+    out += bias.data[None, :, None, None]
     saved = {"w": w.data, "x_shape": x.shape, "stride": stride, "pad": pad,
              "out_hw": (out_h, out_w)}
-    if c_in <= c_out:
-        cols = _im2col(xp, kh, kw, stride, out_h, out_w)
-        out = np.matmul(w.data.reshape(c_out, c_in * kh * kw), cols)
-        out = out.reshape(batch, c_out, out_h, out_w)
-        saved["cols"] = cols
+    if cols is None:
+        saved["x"] = x.data
     else:
-        planes = np.matmul(_kernel_rows(w.data), xp.reshape(batch, c_in, -1))
-        planes = planes.reshape((batch, c_out, kh, kw) + xp.shape[2:])
-        taps = [planes[:, :, i, j, ys, xs]
-                for i, j, ys, xs in _taps(kh, kw, stride, out_h, out_w)]
-        out = taps[0].copy()
-        for tap in taps[1:]:
-            out += tap
-        saved["xp"] = xp
-    out += bias.data[None, :, None, None]
+        saved["cols"] = cols
     return Tensor(out), OpContext("conv2d", saved)
 
 
 def conv2d_backward(ctx, grad_out):
     """Gradients of conv2d: returns ``(d_input, d_kernel, d_bias)``.
 
-    The im2col path takes ``d_kernel`` from the saved columns and scatters
-    the column gradient back with col2im.  The shift-accumulate path
-    places the upstream gradient at every tap's window of one
-    ``(C_out*kh*kw)``-row buffer; one GEMM of that buffer with the saved
-    padded input gives ``d_kernel``, and one with the kernel rows gives
-    the padded input gradient.
+    The input gradient is the forward correlation of the transposed
+    problem (Dumoulin & Visin 2016): the upstream gradient, spread at the
+    stride over a zero ``(H+kh-1) x (W+kw-1)`` grid, correlated with the
+    kernel flipped and its channels swapped.  ``d_kernel`` is the upstream
+    gradient times the saved im2col columns or, on shift-accumulate layers,
+    that correlation's columns times the saved input, with taps flipped.
     """
     saved = _take(ctx, "conv2d")
     w = saved["w"]
@@ -245,25 +235,24 @@ def conv2d_backward(ctx, grad_out):
              f"conv2d upstream gradient has shape {grad_out.shape}, "
              f"expected {(batch, c_out, out_h, out_w)}")
 
-    d_bias = grad_out.data.sum(axis=(0, 2, 3))
-    padded_hw = (height + 2 * pad, width + 2 * pad)
+    g = grad_out.data
+    d_bias = g.sum(axis=(0, 2, 3))
+    # g[y, x] goes to row kh-1-pad+stride*y, column kw-1-pad+stride*x; with pad >= kh or
+    # kw, entries that meet only padding fall outside the grid, into a border cut away.
+    edge = max(0, pad + 1 - min(kh, kw))
+    grid = np.zeros((batch, c_out, height + kh - 1 + 2 * edge, width + kw - 1 + 2 * edge),
+                    dtype=g.dtype)
+    grid[:, :, edge + kh - 1 - pad::stride, edge + kw - 1 - pad::stride][:, :, :out_h, :out_w] = g
+    grid = grid[:, :, edge:edge + height + kh - 1, edge:edge + width + kw - 1]
+    d_x, d_cols = _correlate(grid, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, height, width)
     if "cols" in saved:
-        cols = saved["cols"]
-        g = grad_out.data.reshape(batch, c_out, out_h * out_w)
-        d_w = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-        d_cols = np.matmul(w.reshape(c_out, -1).T, g)
-        d_xp = _col2im(d_cols, (batch, c_in) + padded_hw, kh, kw, stride, out_h, out_w)
+        g = g.reshape(batch, c_out, out_h * out_w)
+        d_w = np.matmul(g, saved["cols"].transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     else:
-        xp = saved["xp"].reshape(batch, c_in, -1)
-        spread = np.zeros((batch, c_out, kh, kw) + padded_hw, dtype=grad_out.data.dtype)
-        for i, j, ys, xs in _taps(kh, kw, stride, out_h, out_w):
-            spread[:, :, i, j, ys, xs] = grad_out.data
-        spread = spread.reshape(batch, c_out * kh * kw, -1)
-        d_w = np.matmul(spread, xp.transpose(0, 2, 1)).sum(axis=0)
-        d_w = d_w.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
-        d_xp = np.matmul(_kernel_rows(w).T, spread).reshape((batch, c_in) + padded_hw)
-    d_x = d_xp[:, :, pad:pad + height, pad:pad + width] if pad else d_xp
-    return Tensor(np.ascontiguousarray(d_x)), Tensor(d_w), Tensor(d_bias)
+        x = saved["x"].reshape(batch, c_in, -1)
+        d_w = np.matmul(d_cols, x.transpose(0, 2, 1)).sum(axis=0)
+        d_w = d_w.reshape(c_out, kh, kw, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+    return Tensor(d_x), Tensor(d_w), Tensor(d_bias)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +381,7 @@ def concat_channels_backward(ctx, grad_out):
     _require(grad_out.shape == expected,
              f"concat_channels upstream gradient has shape {grad_out.shape}, expected {expected}")
     g = grad_out.data
-    return (Tensor(np.ascontiguousarray(g[:, :split])),
-            Tensor(np.ascontiguousarray(g[:, split:])))
+    return Tensor(g[:, :split]), Tensor(g[:, split:])
 
 
 # ---------------------------------------------------------------------------

@@ -75,8 +75,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be a positive integer, got {self.epochs!r}")
         if not (_is_int(self.batch_size) and self.batch_size >= 1):
             raise ConfigError(f"batch_size must be a positive integer, got {self.batch_size!r}")
-        if not self.lr > 0:
-            raise ConfigError(f"learning rate must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"learning rate must be positive and finite, got {self.lr}")
         if not 0 < self.val_ratio < 1:
             raise ConfigError(f"val_ratio must lie strictly between 0 and 1, got {self.val_ratio}")
         if self.optimizer not in ("adam", "sgd"):

@@ -82,6 +82,15 @@ def test_augment_rejects_bad_factor_list(tmp_path, corpus_dir):
                  "--scales", "abc"]) == 1
 
 
+def test_augment_rejects_non_finite_rotations(tmp_path, corpus_dir, capsys):
+    for angle in ("inf", "nan", "-inf"):
+        out = tmp_path / angle
+        assert main(["augment", "--in", str(corpus_dir), "--out", str(out),
+                     "--rotations", f"90,{angle}"]) == 1, angle
+        assert "usage error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train / eval / predict round trip
 
@@ -200,6 +209,13 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert main(["train", "--data", str(tmp_path / "missing"),
                  "--val-ratio", "0.3", "--split-ratio-alt"]) == 1
     assert "usage error:" in capsys.readouterr().err
+
+
+def test_train_rejects_non_finite_lr_exit_1(corpus_dir, capsys):
+    for lr in ("inf", "nan"):
+        assert main(["train", "--data", str(corpus_dir), "--size", str(SIZE),
+                     "--epochs", "1", "--lr", lr]) == 1, lr
+        assert "usage error:" in capsys.readouterr().err
 
 
 def test_runtime_errors_exit_2(tmp_path, corpus_dir, run_dir, capsys):

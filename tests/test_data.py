@@ -378,6 +378,8 @@ def test_augment_spec_validation():
     with pytest.raises(ConfigError):
         AugmentSpec(rotations=())
     with pytest.raises(ConfigError):
+        AugmentSpec(rotations=(90.0, float("nan")))
+    with pytest.raises(ConfigError):
         AugmentSpec(scales=(0.4,))
     with pytest.raises(ConfigError):
         AugmentSpec(brightness=(5.0,))

@@ -1,5 +1,7 @@
 """Adam and SGD update rules: hand-evaluated steps, bounds, rejection."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,8 @@ def test_adam_init_rejects_bad_hyperparameters():
         adam_init(params, lr=0.0)
     with pytest.raises(ConfigError):
         adam_init(params, lr=-1e-3)
+    with pytest.raises(ConfigError):
+        adam_init(params, lr=math.inf)
     with pytest.raises(ConfigError):
         adam_init(params, beta1=1.0)
     with pytest.raises(ConfigError):
@@ -157,6 +161,8 @@ def test_sgd_rejects_bad_lr_and_bad_grads():
     params = scalar(1.0)
     with pytest.raises(ConfigError):
         sgd_step(params, grad(1.0), lr=0.0)
+    with pytest.raises(ConfigError):
+        sgd_step(params, grad(1.0), lr=math.inf)
     with pytest.raises(UpdateError):
         sgd_step(params, {"w": Tensor(np.full((2,), np.inf))}, lr=0.1)
     assert float(params["w"].data[0]) == 1.0

@@ -483,6 +483,27 @@ def test_conv2d_paths_agree_for_any_stride_pad_and_kernel():
         np.testing.assert_allclose(dbias.data, wide_dbias.data[:2], rtol=1e-12, atol=1e-12)
 
 
+def test_conv2d_backward_is_the_adjoint_of_conv2d():
+    # With zero bias conv2d is linear in x and in w, so its gradients are
+    # adjoints: <conv2d(x), g> == <x, d_x> == <w, d_w>.  The channel pairs
+    # run both unfoldings of the forward and of the input-gradient
+    # correlation; pad 2 with a 2-tap kernel drops gradient entries that
+    # see only padding, and stride 2 on 8 rows drops a padded row.
+    rng = np.random.default_rng(31)
+    for stride, pad, kh, kw in ((1, 0, 3, 3), (1, 1, 3, 3), (2, 1, 3, 2), (3, 2, 2, 3),
+                                (2, 0, 1, 1), (2, 1, 3, 3)):
+        for c_in, c_out in ((2, 5), (5, 2), (5, 5)):
+            x = t(rng.standard_normal((2, c_in, 8, 7)))
+            w = t(rng.standard_normal((c_out, c_in, kh, kw)))
+            out, ctx = conv2d(x, w, t(np.zeros(c_out)), stride=stride, pad=pad)
+            g = rng.standard_normal(out.shape)
+            dx, dw, _ = conv2d_backward(ctx, t(g))
+            case = (stride, pad, kh, kw, c_in, c_out)
+            forward = float((out.data * g).sum())
+            assert math.isclose(float((x.data * dx.data).sum()), forward, rel_tol=1e-12), case
+            assert math.isclose(float((w.data * dw.data).sum()), forward, rel_tol=1e-12), case
+
+
 def test_gradcheck_maxpool2():
     # seed 11 keeps every pooling window's top-two gap above 0.26, so the
     # h=1e-3 perturbation can never flip a winner

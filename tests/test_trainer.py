@@ -1,5 +1,6 @@
 """Training loop, evaluation self-consistency, checkpoint wire format, logs."""
 
+import math
 import os
 import struct
 import subprocess
@@ -75,6 +76,8 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         TrainConfig(lr=0.0)
+    with pytest.raises(ConfigError):
+        TrainConfig(lr=math.inf)
     with pytest.raises(ConfigError):
         TrainConfig(val_ratio=0.0)
     with pytest.raises(ConfigError):
