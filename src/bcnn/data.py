@@ -47,6 +47,12 @@ DARK_THRESHOLD = 120
 _IMAGE_SUFFIXES = (".pgm", ".ppm")
 
 
+def _is_int(value):
+    """True for Python and numpy integers other than bool, which Python
+    counts as int."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class LabeledImage:
     """One grayscale image with its class label (and source path, if any)."""
@@ -62,7 +68,7 @@ class LabeledImage:
                 f"image pixels must be a 2-D uint8 array, got shape {arr.shape} dtype {arr.dtype}")
         if min(arr.shape) < 8:
             raise CorpusError(f"images must be at least 8x8, got {arr.shape}")
-        if not isinstance(self.label, (int, np.integer)) or self.label < 0:
+        if not _is_int(self.label) or self.label < 0:
             raise CorpusError(f"label must be a non-negative integer, got {self.label!r}")
         self.pixels = arr
         self.label = int(self.label)
@@ -277,9 +283,9 @@ class AugmentSpec:
             raise ConfigError(f"scale factors must lie in [0.5, 2.0], got {self.scales}")
         if any(not 0.25 <= b <= 4.0 for b in self.brightness):
             raise ConfigError(f"brightness factors must lie in [0.25, 4.0], got {self.brightness}")
-        if not isinstance(self.variants, int) or self.variants < 0:
+        if not _is_int(self.variants) or self.variants < 0:
             raise ConfigError(f"variants must be a non-negative integer, got {self.variants!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
@@ -312,15 +318,17 @@ def label_components(mask, diagonal=True):
     """Connected-component labels of a boolean mask.
 
     Returns ``(labels, count)`` with labels 1..count; ``diagonal`` selects
-    8-connectivity (used for dark distress pixels) over 4-connectivity
-    (used for background regions, so a hairline diagonal crack still
-    separates the cells it encloses).
+    8-connectivity (used for dark distress pixels) over 4-connectivity.
 
     Components are numbered in the row-major order of their first pixel:
     each masked pixel starts with its flat index as its root, and each
     pass hooks a pixel and its root to the smallest root next to it, then
     jumps every root to its root's root (Shiloach & Vishkin, 1982), until
-    no pixel has a neighbour with a smaller root.
+    no pixel has a neighbour with a smaller root.  The 8-neighbour minimum
+    is separable: a minimum over each row of three, then over each column
+    of three of those.  Background pixels hold the background root, one
+    above every flat index; a fixed bound (0 on the mask, that root off
+    it) keeps them there after each minimum.
     """
     mask = np.asarray(mask, dtype=bool)
     height, width = mask.shape
@@ -328,18 +336,23 @@ def label_components(mask, diagonal=True):
     none = height * width  # the background's root; roots[none] == none
     roots = np.full(none + 1, none, dtype=np.intp)
     roots[:-1][flat] = np.flatnonzero(flat)
+    bound = np.where(flat, 0, none)
     padded = np.full((height + 2, width + 2), none, dtype=np.intp)
     inner = padded[1:-1, 1:-1]
-    if diagonal:
-        steps = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
-    else:
-        steps = ((-1, 0), (1, 0), (0, -1), (0, 1))
+    rows = np.empty((height + 2, width), dtype=np.intp)  # minima of each row of three
     while True:
         inner[...] = roots[:-1].reshape(height, width)
-        low = inner.copy()
-        for dr, dc in steps:
-            np.minimum(low, padded[1 + dr:1 + dr + height, 1 + dc:1 + dc + width], out=low)
-        low = np.where(flat, low.ravel(), none)
+        if diagonal:
+            np.minimum(padded[:, :-2], padded[:, 1:-1], out=rows)
+            np.minimum(rows, padded[:, 2:], out=rows)
+            low = np.minimum(rows[:-2], rows[1:-1])
+            np.minimum(low, rows[2:], out=low)
+        else:
+            low = np.minimum(inner, padded[:-2, 1:-1])
+            np.minimum(low, padded[2:, 1:-1], out=low)
+            np.minimum(low, padded[1:-1, :-2], out=low)
+            np.minimum(low, padded[1:-1, 2:], out=low)
+        low = np.maximum(low.ravel(), bound)
         if np.array_equal(low, roots[:-1]):
             break
         np.minimum.at(roots, roots[:-1].copy(), low)
@@ -365,19 +378,25 @@ def _darkness(size, rng):
 
 
 def _stamp_polyline(canvas, dark, anchors, width):
-    """Draws a polyline through integer anchor points with a square brush."""
-    offsets = {1: (0,), 2: (0, 1), 3: (-1, 0, 1)}[width]
+    """Draws a polyline through integer anchor points with a square brush.
+
+    Each segment is sampled at ``2 * max(|dr|, |dc|) + 1`` evenly spaced
+    points, rounded half up.  Every brush pixel of every point is written
+    in one assignment; a pixel met twice takes the same ``dark`` value
+    either way.
+    """
+    offsets = np.array({1: (0,), 2: (0, 1), 3: (-1, 0, 1)}[width])
     size = canvas.shape[0]
+    rows, cols = [], []
     for (r0, c0), (r1, c1) in zip(anchors[:-1], anchors[1:]):
-        steps = 2 * max(abs(r1 - r0), abs(c1 - c0)) + 1
-        ts = np.linspace(0.0, 1.0, steps)
-        rr = np.floor(r0 + (r1 - r0) * ts + 0.5).astype(np.int64)
-        cc = np.floor(c0 + (c1 - c0) * ts + 0.5).astype(np.int64)
-        for dr in offsets:
-            for dc in offsets:
-                r = np.clip(rr + dr, 0, size - 1)
-                c = np.clip(cc + dc, 0, size - 1)
-                canvas[r, c] = dark[r, c]
+        ts = np.linspace(0.0, 1.0, 2 * max(abs(r1 - r0), abs(c1 - c0)) + 1)
+        rows.append(r0 + (r1 - r0) * ts)
+        cols.append(c0 + (c1 - c0) * ts)
+    rr = np.floor(np.concatenate(rows) + 0.5).astype(np.int64)
+    cc = np.floor(np.concatenate(cols) + 0.5).astype(np.int64)
+    r = np.clip(rr[:, None, None] + offsets[:, None], 0, size - 1)
+    c = np.clip(cc[:, None, None] + offsets, 0, size - 1)
+    canvas[r, c] = dark[r, c]
 
 
 def _span_anchors(size, base, amp, rng, vertical):
@@ -442,6 +461,20 @@ def _border_labels(labels):
             for edge in (labels[0], labels[-1], labels[:, 0], labels[:, -1])]
 
 
+def _euler_number(mask):
+    """The 8-connected Euler number of a boolean mask: components minus
+    holes, from the 2x2 windows of the zero-padded mask (Gray 1971), as
+    ``(n(Q1) - n(Q3) - 2 n(QD)) / 4``, where Q1 and Q3 are the windows
+    holding one and three set pixels and QD those holding a diagonal pair."""
+    p = np.pad(mask, 1).astype(np.intp)
+    quads = np.bincount((p[:-1, :-1] + 2 * p[:-1, 1:] + 4 * p[1:, :-1] + 8 * p[1:, 1:]).ravel(),
+                        minlength=16)
+    q1 = quads[1] + quads[2] + quads[4] + quads[8]
+    q3 = quads[7] + quads[11] + quads[13] + quads[14]
+    qd = quads[6] + quads[9]
+    return int(q1 - q3 - 2 * qd) // 4
+
+
 def _signature_ok(label, canvas):
     """Does the drawn image carry its class's defining structure?"""
     mask = canvas < DARK_THRESHOLD
@@ -453,10 +486,10 @@ def _signature_ok(label, canvas):
     if name == "linear":
         return bool(top & bottom or left & right)
     if name == "fatigue":
-        if not top & bottom & left & right:
-            return False
-        bg_labels, bg_count = label_components(~mask, diagonal=False)
-        return bg_count > len(set.union(*_border_labels(bg_labels)))
+        # An enclosed cell is a 4-connected background component off every
+        # border.  With 8-connected foreground and 4-connected background,
+        # components minus the Euler number counts exactly those (Gray 1971).
+        return bool(top & bottom & left & right) and count > _euler_number(mask)
     if name == "potholes":
         if count != 1 or top | bottom | left | right:
             return False
@@ -482,9 +515,9 @@ def synth_generate(class_name, size, seed):
     """
     if class_name not in CLASS_NAMES:
         raise ConfigError(f"unknown class {class_name!r}; expected one of {CLASS_NAMES}")
-    if not (isinstance(size, (int, np.integer)) and size >= 32):
+    if not (_is_int(size) and size >= 32):
         raise ConfigError(f"synthetic images must be at least 32x32, got size {size!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     label = CLASS_NAMES.index(class_name)
     for attempt in range(64):
@@ -519,7 +552,7 @@ def to_batches(manifest, batch_size, shuffle_seed=None, size=None):
     ``shuffle_seed`` (None keeps manifest order).  The final batch may be
     short.
     """
-    if not (isinstance(batch_size, (int, np.integer)) and batch_size >= 1):
+    if not (_is_int(batch_size) and batch_size >= 1):
         raise ConfigError(f"batch_size must be a positive integer, got {batch_size!r}")
     if not manifest.items:
         raise CorpusError("cannot batch an empty manifest")

@@ -264,7 +264,7 @@ def backward(params, trace, d_logits):
         conv_ctx, pool_ctx, relu_ctx = trace.down_ctxs[k - 1]
         d_pooled = relu_backward(relu_ctx, Tensor(d_f[k - 1]))
         d_conv = maxpool2_backward(pool_ctx, d_pooled)
-        d_input, d_w, d_bias = conv2d_backward(conv_ctx, d_conv)
+        d_input, d_w, d_bias = conv2d_backward(conv_ctx, d_conv, input_grad=k > 1)
         grads[f"fwd{k}_w"], grads[f"fwd{k}_b"] = d_w, d_bias
         if k > 1:
             d_f[k - 2] = d_f[k - 2] + d_input.data

@@ -215,8 +215,11 @@ def conv2d(x, w, bias, stride=1, pad=0):
     return Tensor(out), OpContext("conv2d", saved)
 
 
-def conv2d_backward(ctx, grad_out):
+def conv2d_backward(ctx, grad_out, input_grad=True):
     """Gradients of conv2d: returns ``(d_input, d_kernel, d_bias)``.
+
+    With ``input_grad=False`` the input gradient is not computed and
+    ``d_input`` is None; a network's first layer has no use for it.
 
     The input gradient is the forward correlation of the transposed
     problem (Dumoulin & Visin 2016): the upstream gradient, spread at the
@@ -237,14 +240,17 @@ def conv2d_backward(ctx, grad_out):
 
     g = grad_out.data
     d_bias = g.sum(axis=(0, 2, 3))
-    # g[y, x] goes to row kh-1-pad+stride*y, column kw-1-pad+stride*x; with pad >= kh or
-    # kw, entries that meet only padding fall outside the grid, into a border cut away.
-    edge = max(0, pad + 1 - min(kh, kw))
-    grid = np.zeros((batch, c_out, height + kh - 1 + 2 * edge, width + kw - 1 + 2 * edge),
-                    dtype=g.dtype)
-    grid[:, :, edge + kh - 1 - pad::stride, edge + kw - 1 - pad::stride][:, :, :out_h, :out_w] = g
-    grid = grid[:, :, edge:edge + height + kh - 1, edge:edge + width + kw - 1]
-    d_x, d_cols = _correlate(grid, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, height, width)
+    # Shift-accumulate layers take d_w from the input-gradient correlation's columns.
+    if input_grad or "cols" not in saved:
+        # g[y, x] goes to row kh-1-pad+stride*y, column kw-1-pad+stride*x; with pad >= kh
+        # or kw, entries that meet only padding fall outside the grid, into a border cut away.
+        edge = max(0, pad + 1 - min(kh, kw))
+        grid = np.zeros((batch, c_out, height + kh - 1 + 2 * edge, width + kw - 1 + 2 * edge),
+                        dtype=g.dtype)
+        first_r, first_c = edge + kh - 1 - pad, edge + kw - 1 - pad
+        grid[:, :, first_r::stride, first_c::stride][:, :, :out_h, :out_w] = g
+        grid = grid[:, :, edge:edge + height + kh - 1, edge:edge + width + kw - 1]
+        d_x, d_cols = _correlate(grid, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, height, width)
     if "cols" in saved:
         g = g.reshape(batch, c_out, out_h * out_w)
         d_w = np.matmul(g, saved["cols"].transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
@@ -252,7 +258,7 @@ def conv2d_backward(ctx, grad_out):
         x = saved["x"].reshape(batch, c_in, -1)
         d_w = np.matmul(d_cols, x.transpose(0, 2, 1)).sum(axis=0)
         d_w = d_w.reshape(c_out, kh, kw, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
-    return Tensor(d_x), Tensor(d_w), Tensor(d_bias)
+    return (Tensor(d_x) if input_grad else None), Tensor(d_w), Tensor(d_bias)
 
 
 # ---------------------------------------------------------------------------

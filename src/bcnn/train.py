@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_atomic
-from .data import AugmentSpec, augment_dataset, stratified_split, to_batches
+from .data import AugmentSpec, _is_int, augment_dataset, stratified_split, to_batches
 from .errors import (ConfigError, ConsistencyError, CorpusError, FormatError,
                      IntegrityError, NumericError, TrainingError, UpdateError,
                      VersionError)
@@ -50,11 +50,6 @@ __all__ = [
     "CHECKPOINT_MAGIC",
     "CHECKPOINT_VERSION",
 ]
-
-
-def _is_int(value):
-    """True for integers other than bool, which Python counts as int."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass

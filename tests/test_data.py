@@ -28,7 +28,8 @@ from bcnn.data import (
     to_batches,
     write_manifest_csv,
 )
-from bcnn.data import _DRAWERS, _signature_ok
+from bcnn.data import (_DRAWERS, _darkness, _draw_background, _euler_number, _signature_ok,
+                       _span_anchors, _stamp_polyline)
 from bcnn.errors import ConfigError, ConsistencyError, CorpusError, DimensionError
 from bcnn.netpbm import read_image, rgb_to_gray, write_pgm, write_ppm
 
@@ -129,6 +130,12 @@ def write_class_dir(root, name, count, start=0):
     d.mkdir(parents=True, exist_ok=True)
     for i in range(count):
         write_pgm(d / f"{name}_{i}.pgm", stamp_image(start + i))
+
+
+def test_labeled_image_rejects_a_bool_label():
+    assert LabeledImage(stamp_image(1), np.int64(2)).label == 2
+    with pytest.raises(CorpusError):
+        LabeledImage(stamp_image(1), True)
 
 
 def test_load_dataset_fixture_counts(tmp_path):
@@ -388,7 +395,11 @@ def test_augment_spec_validation():
     with pytest.raises(ConfigError):
         AugmentSpec(variants=1.5)
     with pytest.raises(ConfigError):
+        AugmentSpec(variants=True)
+    with pytest.raises(ConfigError):
         AugmentSpec(seed=-1)
+    with pytest.raises(ConfigError):
+        AugmentSpec(seed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +432,15 @@ def is_fatigue_web(mask):
             touches_all = True
     if not touches_all:
         return False
+    return enclosed_cells(mask) > 0
+
+
+def enclosed_cells(mask):
+    """The 4-connected background components that reach no border."""
     bg_labels, bg_count = ndimage.label(~mask)
     border_ids = set(np.unique(np.concatenate([
         bg_labels[0], bg_labels[-1], bg_labels[:, 0], bg_labels[:, -1]]))) - {0}
-    return bg_count > len(border_ids)
+    return bg_count - len(border_ids)
 
 
 def is_compact_blob(mask):
@@ -485,6 +501,8 @@ def test_synth_validation():
         synth_generate("linear", 16, 0)
     with pytest.raises(ConfigError):
         synth_generate("linear", 32, -1)
+    with pytest.raises(ConfigError):
+        synth_generate("linear", 32, True)
 
 
 def raw_draw(name, size, seed):
@@ -513,6 +531,71 @@ def test_label_components_agrees_with_scipy():
             assert mine_count == theirs_count
             assert mine.dtype == np.int32
             assert np.array_equal(mine, theirs)
+
+
+def stamp_polyline_loop(canvas, dark, anchors, width):
+    """Stamps one segment and one brush offset at a time, as the generator
+    once did: the reference for ``_stamp_polyline``."""
+    offsets = {1: (0,), 2: (0, 1), 3: (-1, 0, 1)}[width]
+    size = canvas.shape[0]
+    for (r0, c0), (r1, c1) in zip(anchors[:-1], anchors[1:]):
+        steps = 2 * max(abs(r1 - r0), abs(c1 - c0)) + 1
+        ts = np.linspace(0.0, 1.0, steps)
+        rr = np.floor(r0 + (r1 - r0) * ts + 0.5).astype(np.int64)
+        cc = np.floor(c0 + (c1 - c0) * ts + 0.5).astype(np.int64)
+        for dr in offsets:
+            for dc in offsets:
+                r = np.clip(rr + dr, 0, size - 1)
+                c = np.clip(cc + dc, 0, size - 1)
+                canvas[r, c] = dark[r, c]
+
+
+def test_stamp_polyline_matches_the_segment_loop():
+    # Anchors from the drawers' own helper, with bases on and next to both
+    # borders, where the brush offsets are clipped; then arbitrary anchors,
+    # repeats and zero-length segments included.
+    rng = np.random.default_rng(13)
+    cases = []
+    for size in (32, 64, 96):
+        for base in (0, 1, size // 3, size - 2, size - 1):
+            for vertical in (False, True):
+                cases.append((size, _span_anchors(size, base, max(2, size // 10), rng, vertical)))
+        for n in (2, 3, 5):
+            cases.append((size, [tuple(p) for p in rng.integers(0, size, size=(n, 2))]))
+        cases.append((size, [(0, 0), (0, 0), (size - 1, size - 1)]))
+    for size, anchors in cases:
+        for width in (1, 2, 3):
+            canvas = _draw_background(size, rng)
+            dark = _darkness(size, rng)
+            want = canvas.copy()
+            stamp_polyline_loop(want, dark, anchors, width)
+            _stamp_polyline(canvas, dark, anchors, width)
+            assert np.array_equal(canvas, want), (size, anchors, width)
+
+
+def test_euler_number_counts_the_enclosed_cells():
+    # 8-connected components minus the Euler number must equal the
+    # enclosed 4-connected background cells that scipy finds.
+    masks = []
+    for name in CLASS_NAMES:
+        for size in (32, 64, 96):
+            for seed in range(12):
+                dark = raw_draw(name, size, seed) < DARK_THRESHOLD
+                masks += [dark, ~dark]
+    rng = np.random.default_rng(14)
+    for _ in range(150):
+        height, width = rng.integers(1, 30, size=2)
+        masks.append(rng.random((height, width)) < rng.random())
+    for n in (1, 2, 7):
+        masks += [rng.random((1, n * 5)) < 0.5, rng.random((n * 5, 1)) < 0.5,
+                  np.ones((n, n + 3), dtype=bool), np.zeros((n + 3, n), dtype=bool)]
+    holes = set()
+    for mask in masks:
+        _, count = ndimage.label(mask, structure=EIGHT)
+        want = enclosed_cells(mask)
+        assert count - _euler_number(mask) == want, mask.shape
+        holes.add(min(want, 2))
+    assert holes == {0, 1, 2}
 
 
 def test_signature_check_matches_the_oracles_on_raw_draws():
@@ -600,6 +683,8 @@ def test_to_batches_validation():
     manifest = make_manifest([4])
     with pytest.raises(ConfigError):
         to_batches(manifest, 0)
+    with pytest.raises(ConfigError):
+        to_batches(manifest, True)
     with pytest.raises(CorpusError):
         to_batches(DatasetManifest(["a"], []), 2)
     manifest.items[0].label = 7

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import bcnn.model
 from bcnn.errors import ConfigError, ConsistencyError, DimensionError
 from bcnn.model import (
     ForwardTrace,
@@ -17,7 +18,7 @@ from bcnn.model import (
     parameter_shapes,
     predict,
 )
-from bcnn.tensor import Tensor
+from bcnn.tensor import Tensor, conv2d_backward
 
 TINY = ModelConfig(input_size=8, input_channels=1, stages=2, channels=(2, 3), classes=3, seed=0)
 
@@ -178,6 +179,27 @@ def test_backward_gradient_shapes_match_parameters():
                                                                            dtype=np.float32)))
     for name, p in params.items():
         assert grads[name].shape == p.shape
+
+
+def test_backward_skips_only_the_first_input_gradient(monkeypatch):
+    # Asking every conv backward for its input gradient must not change a
+    # gradient bit; backward() leaves out fwd1's alone.
+    params = build_model(TINY)
+    rng = np.random.default_rng(8)
+    logits, trace = forward(params, batch_of(rng, TINY, 3))
+    upstream = Tensor(rng.standard_normal(logits.shape).astype(np.float32))
+    grads = backward(params, trace, upstream)
+    skipped = []
+
+    def full_backward(ctx, grad_out, input_grad=True):
+        skipped.append(not input_grad)
+        return conv2d_backward(ctx, grad_out)
+
+    monkeypatch.setattr(bcnn.model, "conv2d_backward", full_backward)
+    full_grads = backward(params, trace, upstream)
+    assert skipped == [False, False, True]  # refine1, fwd2, fwd1
+    for name in params:
+        assert np.array_equal(grads[name].data, full_grads[name].data), name
 
 
 def test_backward_rejects_foreign_trace():

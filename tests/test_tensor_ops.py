@@ -457,6 +457,20 @@ def test_gradcheck_conv2d_stride_two():
         assert finite_diff_gradcheck(f, w, dw) < TOL, (c_in, c_out)
 
 
+def test_conv2d_backward_without_the_input_gradient():
+    rng = np.random.default_rng(22)
+    for c_in, c_out in CONV_CHANNELS:  # im2col, then shift-accumulate
+        x = t(rng.standard_normal((2, c_in, 6, 5)))
+        out, ctx = conv2d(x, t(rng.standard_normal((c_out, c_in, 3, 3))),
+                          t(rng.standard_normal(c_out)), stride=2, pad=1)
+        upstream = t(rng.standard_normal(out.shape))
+        _, dw, dbias = conv2d_backward(ctx, upstream)
+        none, dw_only, dbias_only = conv2d_backward(ctx, upstream, input_grad=False)
+        assert none is None
+        assert np.array_equal(dw_only.data, dw.data)
+        assert np.array_equal(dbias_only.data, dbias.data)
+
+
 def test_conv2d_paths_agree_for_any_stride_pad_and_kernel():
     # A 5->2 conv takes the shift-accumulate path.  Appending three zero
     # kernels makes it 5->5, which takes the im2col path; the first two

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import bcnn
+import bcnn.model
 import bcnn.train
 from bcnn.data import DatasetManifest, stratified_split, synth_generate, to_batches
 from bcnn.errors import (
@@ -110,6 +111,19 @@ def test_train_is_deterministic(corpus):
     assert records_a == records_b
     for name in params_a:
         assert np.array_equal(params_a[name].data, params_b[name].data)
+
+
+def test_train_bits_match_a_full_first_layer_backward(corpus, trained, monkeypatch):
+    # backward() skips fwd1's input gradient; a run whose every conv
+    # backward computes it must give the same parameters and records.
+    config, params, records = trained
+    full_backward = bcnn.model.conv2d_backward
+    monkeypatch.setattr(bcnn.model, "conv2d_backward",
+                        lambda ctx, grad_out, input_grad=True: full_backward(ctx, grad_out))
+    full_params, full_records = train(corpus, MODEL, config)
+    assert full_records == records
+    for name in params:
+        assert np.array_equal(full_params[name].data, params[name].data)
 
 
 _DIGEST_SCRIPT = """
