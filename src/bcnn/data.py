@@ -314,11 +314,11 @@ def augment_dataset(manifest, spec):
 # synthetic corpus
 
 
-def label_components(mask, diagonal=True):
-    """Connected-component labels of a boolean mask.
+def label_components(mask):
+    """8-connected component labels of a boolean mask.
 
-    Returns ``(labels, count)`` with labels 1..count; ``diagonal`` selects
-    8-connectivity (used for dark distress pixels) over 4-connectivity.
+    Returns ``(labels, count)`` with labels 1..count; pixels that touch at
+    an edge or a corner share a component.
 
     Components are numbered in the row-major order of their first pixel:
     each masked pixel starts with its flat index as its root, and each
@@ -338,20 +338,13 @@ def label_components(mask, diagonal=True):
     roots[:-1][flat] = np.flatnonzero(flat)
     bound = np.where(flat, 0, none)
     padded = np.full((height + 2, width + 2), none, dtype=np.intp)
-    inner = padded[1:-1, 1:-1]
     rows = np.empty((height + 2, width), dtype=np.intp)  # minima of each row of three
     while True:
-        inner[...] = roots[:-1].reshape(height, width)
-        if diagonal:
-            np.minimum(padded[:, :-2], padded[:, 1:-1], out=rows)
-            np.minimum(rows, padded[:, 2:], out=rows)
-            low = np.minimum(rows[:-2], rows[1:-1])
-            np.minimum(low, rows[2:], out=low)
-        else:
-            low = np.minimum(inner, padded[:-2, 1:-1])
-            np.minimum(low, padded[2:, 1:-1], out=low)
-            np.minimum(low, padded[1:-1, :-2], out=low)
-            np.minimum(low, padded[1:-1, 2:], out=low)
+        padded[1:-1, 1:-1] = roots[:-1].reshape(height, width)
+        np.minimum(padded[:, :-2], padded[:, 1:-1], out=rows)
+        np.minimum(rows, padded[:, 2:], out=rows)
+        low = np.minimum(rows[:-2], rows[1:-1])
+        np.minimum(low, rows[2:], out=low)
         low = np.maximum(low.ravel(), bound)
         if np.array_equal(low, roots[:-1]):
             break
@@ -478,7 +471,7 @@ def _euler_number(mask):
 def _signature_ok(label, canvas):
     """Does the drawn image carry its class's defining structure?"""
     mask = canvas < DARK_THRESHOLD
-    labels, count = label_components(mask, diagonal=True)
+    labels, count = label_components(mask)
     if count == 0:
         return False
     top, bottom, left, right = _border_labels(labels)

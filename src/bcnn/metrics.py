@@ -21,7 +21,6 @@ __all__ = [
     "ClassMetrics",
     "AggregateMetrics",
     "MetricsReport",
-    "class_report",
     "aggregate_report",
     "report_from_matrix",
     "write_report_csv",
@@ -63,14 +62,6 @@ class ConfusionMatrix:
                 bad = int(arr[(arr < 0) | (arr >= k)][0])
                 raise IndexError(f"{kind} label {bad} outside [0, {k})")
         np.add.at(self.matrix, (t, p), 1)
-
-    @property
-    def total(self):
-        return int(self.matrix.sum())
-
-    @property
-    def supports(self):
-        return [int(s) for s in self.matrix.sum(axis=1)]
 
 
 @dataclass(frozen=True)
@@ -128,12 +119,6 @@ def _rational_rows(cm):
         r = Fraction(tp, row) if row else Fraction(0)
         rows.append((name, p, r, _f1(p, r), row))
     return rows
-
-
-def class_report(cm):
-    """Per-class metrics for a confusion matrix, as floats."""
-    return [ClassMetrics(name, float(p), float(r), float(f), s)
-            for name, p, r, f, s in _rational_rows(cm)]
 
 
 def _aggregate(rows):

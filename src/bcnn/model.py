@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _is_int
 from .errors import ConfigError, ConsistencyError, DimensionError, NumericError
 from .tensor import (OpContext, Tensor, concat_channels, concat_channels_backward,
                      conv2d, conv2d_backward, dense, dense_backward,
@@ -44,21 +45,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture hyperparameters.
+    """Architecture hyperparameters, all integers.
 
+    The input is one grayscale channel, ``input_size`` pixels square.
     ``input_size`` must be divisible by ``2**stages`` so every pooling
     stage sees even extents, and the cascade needs at least two stages for
     the top-down stream to exist.
     """
 
     input_size: int = 64
-    input_channels: int = 1
     stages: int = 3
     channels: tuple = (16, 32, 64)
     classes: int = 3
     seed: int = 0
 
     def __post_init__(self):
+        if not all(map(_is_int, (self.input_size, self.stages, self.classes, self.seed,
+                                 *self.channels))):
+            raise ConfigError(f"every field must hold integers, got {self!r}")
         object.__setattr__(self, "channels", tuple(int(c) for c in self.channels))
         if self.stages < 2:
             raise ConfigError(f"the cascade needs at least 2 stages, got {self.stages}")
@@ -67,8 +71,6 @@ class ModelConfig:
                 f"got {len(self.channels)} channel counts for {self.stages} stages")
         if any(c < 1 for c in self.channels):
             raise ConfigError(f"channel counts must be positive, got {self.channels}")
-        if self.input_channels < 1:
-            raise ConfigError(f"input_channels must be positive, got {self.input_channels}")
         if self.classes < 2:
             raise ConfigError(f"need at least 2 classes, got {self.classes}")
         divisor = 1 << self.stages
@@ -100,14 +102,14 @@ class ForwardTrace:
 def parameter_shapes(config):
     """Named parameter shapes for ``config``, in deterministic order.
 
-    Stage k's forward conv is ``fwd{k}_w``/``fwd{k}_b`` (k = 1..K); the
-    refinement conv that produces B_k is ``refine{k}_w``/``refine{k}_b``
-    (k = 1..K-1) and consumes channels[k-1] + channels[k] fused channels;
-    the head is ``head_w``/``head_b`` over channels[0] + channels[K-1]
-    pooled features.
+    Stage k's forward conv is ``fwd{k}_w``/``fwd{k}_b`` (k = 1..K), and
+    ``fwd1_w`` reads the one grayscale input channel; the refinement conv
+    that produces B_k is ``refine{k}_w``/``refine{k}_b`` (k = 1..K-1) and
+    consumes channels[k-1] + channels[k] fused channels; the head is
+    ``head_w``/``head_b`` over channels[0] + channels[K-1] pooled features.
     """
     shapes = {}
-    prev = config.input_channels
+    prev = 1
     for k, ch in enumerate(config.channels, start=1):
         shapes[f"fwd{k}_w"] = (ch, prev, 3, 3)
         shapes[f"fwd{k}_b"] = (ch,)
@@ -325,8 +327,7 @@ def full_model_gradcheck(config=None, seed=0, h=1e-3, batch=2,
     pattern, or the finite-difference quotient measures the wrong branch.
     """
     if config is None:
-        config = ModelConfig(input_size=8, input_channels=1, stages=2,
-                             channels=(2, 3), classes=3, seed=seed)
+        config = ModelConfig(input_size=8, stages=2, channels=(2, 3), classes=3, seed=seed)
     params = build_model(config, np.float64)
     # A small positive bias keeps no conv channel's pre-activation
     # distribution centred exactly on the ReLU kink.
@@ -335,8 +336,8 @@ def full_model_gradcheck(config=None, seed=0, h=1e-3, batch=2,
             tensor.data[...] = 0.25
     for attempt in range(max_attempts):
         rng = np.random.default_rng((seed, attempt))
-        x = Tensor(rng.random((batch, config.input_channels,
-                               config.input_size, config.input_size)), dtype=np.float64)
+        x = Tensor(rng.random((batch, 1, config.input_size, config.input_size)),
+                   dtype=np.float64)
         y = rng.integers(0, config.classes, size=batch)
         logits, trace = forward(params, x)
         if _kink_margin(trace) >= margin:

@@ -1,16 +1,16 @@
-"""Binary netpbm image I/O: 8-bit grayscale P5 and color P6.
+"""Binary netpbm image I/O: reads 8-bit grayscale P5 and color P6, writes P5.
 
-Only maxval 255 is supported.  Headers may contain ``#`` comments between
-tokens; exactly one whitespace byte separates the maxval from the pixel
-payload.  Color images collapse to grayscale with the integer luma
-(299 R + 587 G + 114 B + 500) // 1000.
+Only maxval 255 is supported.  Header numbers are ASCII decimal digits,
+and ``#`` comments may sit between tokens; exactly one whitespace byte
+separates the maxval from the pixel payload.  Color images collapse to
+grayscale with the integer luma (299 R + 587 G + 114 B + 500) // 1000.
 """
 
 import numpy as np
 
 from .errors import FormatError, IntegrityError
 
-__all__ = ["read_image", "write_pgm", "write_ppm", "rgb_to_gray"]
+__all__ = ["read_image", "write_pgm", "rgb_to_gray"]
 
 _WHITESPACE = b" \t\n\r\v\f"
 
@@ -38,10 +38,11 @@ def _next_token(buf, pos):
 def _int_token(buf, pos, what):
     token, pos = _next_token(buf, pos)
     try:
-        value = int(token)
-    except ValueError:
-        raise FormatError(f"netpbm {what} is not an integer: {token!r}") from None
-    return value, pos
+        if token.isdigit():
+            return int(token), pos
+    except ValueError:  # more digits than int() converts
+        pass
+    raise FormatError(f"netpbm {what} is not a decimal integer: {token!r}")
 
 
 def read_image(path):
@@ -98,13 +99,3 @@ def write_pgm(path, pixels):
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(arr.tobytes())
 
-
-def write_ppm(path, pixels):
-    """Writes a (H, W, 3) uint8 array as binary P6."""
-    arr = np.asarray(pixels)
-    if arr.ndim != 3 or arr.shape[2] != 3 or arr.dtype != np.uint8:
-        raise FormatError(f"expected an (H, W, 3) uint8 array, got shape {arr.shape} dtype {arr.dtype}")
-    height, width = arr.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(arr.tobytes())

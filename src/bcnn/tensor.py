@@ -91,20 +91,8 @@ class Tensor:
         return self.data.ndim
 
     @property
-    def size(self):
-        return self.data.size
-
-    @property
     def dtype(self):
         return self.data.dtype
-
-    @classmethod
-    def zeros(cls, shape, dtype=np.float32):
-        return cls(np.zeros(shape, dtype=dtype))
-
-    @classmethod
-    def full(cls, shape, value, dtype=np.float32):
-        return cls(np.full(shape, value, dtype=dtype))
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name})"

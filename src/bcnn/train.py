@@ -76,8 +76,8 @@ class TrainConfig:
             raise ConfigError(f"val_ratio must lie strictly between 0 and 1, got {self.val_ratio}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
-        if not 0 <= self.seed < 2 ** 32:
-            raise ConfigError(f"seed must fit an unsigned 32-bit integer, got {self.seed}")
+        if not (_is_int(self.seed) and 0 <= self.seed < 2 ** 32):
+            raise ConfigError(f"seed must fit an unsigned 32-bit integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -276,8 +276,6 @@ CHECKPOINT_VERSION = 1
 def save_checkpoint(path, checkpoint):
     """Serializes a checkpoint; identical inputs give identical bytes."""
     config = checkpoint.config
-    if config.input_channels != 1:
-        raise ConsistencyError("the checkpoint format only stores single-channel models")
     want = parameter_shapes(config)
     have = {name: tuple(t.shape) for name, t in checkpoint.params.items()}
     if have != want:
@@ -346,8 +344,7 @@ def load_checkpoint(path):
     classes = reader.u32()
     seed = reader.u32()
     try:
-        config = ModelConfig(input_size=input_size, input_channels=1,
-                             stages=n_stages, channels=channels,
+        config = ModelConfig(input_size=input_size, stages=n_stages, channels=channels,
                              classes=classes, seed=seed)
     except ConfigError as exc:
         raise IntegrityError(f"checkpoint config is invalid: {exc}") from None

@@ -26,8 +26,8 @@ from bcnn.metrics import (
     ClassMetrics,
     ConfusionMatrix,
     aggregate_report,
-    class_report,
     f1_score,
+    report_from_matrix,
     round_display,
 )
 from bcnn.model import ModelConfig, build_model, forward, full_model_gradcheck
@@ -146,7 +146,7 @@ def test_criterion_3_confusion_matrix_reconstruction():
     true = np.repeat(np.arange(3), ROW_SUMS)
     pred = np.concatenate([np.repeat(np.arange(3), m[k]) for k in range(3)])
     cm.accumulate(true, pred)
-    rows = class_report(cm)
+    rows = report_from_matrix(cm).per_class
     reproduced = all(
         (round_display(row.precision), round_display(row.recall),
          round_display(row.f1), row.support) == (want_p, want_r, want_f, want_s)

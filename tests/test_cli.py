@@ -127,6 +127,28 @@ def test_eval_prints_report(corpus_dir, run_dir, tmp_path, capsys):
     assert lines[-1].startswith("accuracy,,,,")
 
 
+def test_train_eval_predict_are_byte_deterministic(tmp_path, corpus_dir, capsys):
+    # The same three invocations, run twice over the same paths, must
+    # print the same bytes and write the same checkpoint, log and report.
+    ckpt, log, report = tmp_path / "model.bcnn", tmp_path / "log.csv", tmp_path / "report.csv"
+    commands = [
+        ["train", "--data", str(corpus_dir), "--size", str(SIZE), "--epochs", "2",
+         "--batch", "8", "--seed", "4", "--checkpoint", str(ckpt), "--log", str(log)],
+        ["eval", "--data", str(corpus_dir), "--checkpoint", str(ckpt), "--report", str(report)],
+        ["predict", "--image", str(corpus_dir / "linear" / "linear_0000.pgm"),
+         "--checkpoint", str(ckpt)],
+    ]
+    capsys.readouterr()
+    runs = []
+    for _ in range(2):
+        stdout = []
+        for argv in commands:
+            assert main(argv) == 0
+            stdout.append(capsys.readouterr().out)
+        runs.append((stdout, [p.read_bytes() for p in (ckpt, log, report)]))
+    assert runs[0] == runs[1]
+
+
 def test_predict_prints_class_and_probabilities(corpus_dir, run_dir, capsys):
     image = corpus_dir / "fatigue" / "fatigue_0000.pgm"
     assert main(["predict", "--image", str(image),

@@ -1,0 +1,43 @@
+"""Static checks over the package source: every ``__all__`` entry exists,
+and no top-level import goes unused."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import bcnn
+
+SOURCES = sorted(Path(bcnn.__file__).parent.glob("*.py"))
+
+
+def top_level_names(tree):
+    """(names the module defines, names its top-level imports bind)."""
+    defined, imported = set(), set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+    return defined, imported
+
+
+def exported_names(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_exports_exist_and_imports_are_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined, imported = top_level_names(tree)
+    exported = exported_names(tree)
+    assert sorted(set(exported) - defined - imported) == []
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(exported)
+    assert sorted(imported - used) == []

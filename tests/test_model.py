@@ -20,12 +20,11 @@ from bcnn.model import (
 )
 from bcnn.tensor import Tensor, conv2d_backward
 
-TINY = ModelConfig(input_size=8, input_channels=1, stages=2, channels=(2, 3), classes=3, seed=0)
+TINY = ModelConfig(input_size=8, stages=2, channels=(2, 3), classes=3, seed=0)
 
 
 def batch_of(rng, config, n):
-    return Tensor(rng.random((n, config.input_channels,
-                              config.input_size, config.input_size), dtype=np.float32))
+    return Tensor(rng.random((n, 1, config.input_size, config.input_size), dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +46,7 @@ def test_default_config_parameter_count():
     # by hand: fwd 16*9+16 + 32*16*9+32 + 64*32*9+64 = 160+4640+18496,
     # refine 16*48*9+16 + 32*96*9+32 = 6928+27680, head 80*3+3 = 243
     params = build_model(ModelConfig())
-    total = sum(p.size for p in params.values())
+    total = sum(p.data.size for p in params.values())
     assert total == 58147
 
 
@@ -65,11 +64,24 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(channels=(16, 0, 64))
     with pytest.raises(ConfigError):
-        ModelConfig(input_channels=0)
-    with pytest.raises(ConfigError):
         ModelConfig(seed=-1)
     with pytest.raises(ConfigError):
         ModelConfig(seed=2 ** 32)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", True), ("classes", 3.5), ("input_size", 64.0), ("stages", 3.0),
+    ("channels", (16.7, 32, 64)), ("channels", (16, True, 64)),
+])
+def test_config_rejects_non_integer_fields(field, value):
+    with pytest.raises(ConfigError):
+        ModelConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    config = ModelConfig(input_size=np.int64(64), channels=np.array([16, 32, 64]))
+    assert config.channels == (16, 32, 64)
+    assert parameter_shapes(config) == parameter_shapes(ModelConfig())
 
 
 def test_build_model_same_seed_is_bitwise_identical():
@@ -166,7 +178,7 @@ def test_forward_input_validation():
 def test_backward_zero_upstream_gives_zero_gradients():
     params = build_model(TINY)
     _, trace = forward(params, batch_of(np.random.default_rng(4), TINY, 2))
-    grads = backward(params, trace, Tensor.zeros((2, 3)))
+    grads = backward(params, trace, Tensor(np.zeros((2, 3), dtype=np.float32)))
     assert set(grads) == set(params)
     for g in grads.values():
         assert float(np.abs(g.data).max()) == 0.0
@@ -207,11 +219,11 @@ def test_backward_rejects_foreign_trace():
     _, trace = forward(params, batch_of(np.random.default_rng(7), TINY, 2))
     other = build_model(ModelConfig(input_size=8, stages=2, channels=(4, 5), classes=3))
     with pytest.raises(ConsistencyError):
-        backward(other, trace, Tensor.zeros((2, 3)))
+        backward(other, trace, Tensor(np.zeros((2, 3), dtype=np.float32)))
     renamed = dict(params)
     renamed["extra_w"] = renamed.pop("fwd1_w")
     with pytest.raises(ConsistencyError):
-        backward(renamed, trace, Tensor.zeros((2, 3)))
+        backward(renamed, trace, Tensor(np.zeros((2, 3), dtype=np.float32)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +240,7 @@ def test_predict_matches_argmax_of_forward():
 def test_predict_argmax_and_tie_rule():
     # zero head weights make every logit row equal head_b exactly
     params = build_model(TINY)
-    params["head_w"] = Tensor.zeros(params["head_w"].shape)
+    params["head_w"] = Tensor(np.zeros(params["head_w"].shape, dtype=np.float32))
     x = batch_of(np.random.default_rng(9), TINY, 3)
 
     params["head_b"] = Tensor(np.array([0.1, 0.9, 0.2], dtype=np.float32))

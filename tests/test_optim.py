@@ -23,7 +23,8 @@ def grad(value):
 
 
 def test_adam_init_zero_moments_and_counter():
-    params = {"a": Tensor.zeros((2, 3)), "b": Tensor.zeros((4,))}
+    params = {"a": Tensor(np.zeros((2, 3), dtype=np.float32)),
+              "b": Tensor(np.zeros((4,), dtype=np.float32))}
     state = adam_init(params)
     assert state.t == 0
     assert set(state.m) == set(params) and set(state.v) == set(params)
@@ -113,16 +114,16 @@ def test_adam_rejections_leave_everything_untouched():
     params = {"a": Tensor(np.arange(1.0, 5.0).reshape(2, 2), dtype=np.float64),
               "b": Tensor(np.array([7.0]), dtype=np.float64)}
     state = adam_init(params)
-    adam_step(state, params, {"a": Tensor.zeros((2, 2), dtype=np.float64),
-                              "b": Tensor.zeros((1,), dtype=np.float64)})
+    adam_step(state, params, {"a": Tensor(np.zeros((2, 2), dtype=np.float64)),
+                              "b": Tensor(np.zeros((1,), dtype=np.float64))})
     snapshot = {n: p.data.copy() for n, p in params.items()}
     m_snap = {n: t.data.copy() for n, t in state.m.items()}
 
-    bad_shape = {"a": Tensor.zeros((2, 2), dtype=np.float64),
-                 "b": Tensor.zeros((3,), dtype=np.float64)}
-    bad_names = {"a": Tensor.zeros((2, 2), dtype=np.float64)}
+    bad_shape = {"a": Tensor(np.zeros((2, 2), dtype=np.float64)),
+                 "b": Tensor(np.zeros((3,), dtype=np.float64))}
+    bad_names = {"a": Tensor(np.zeros((2, 2), dtype=np.float64))}
     bad_values = {"a": Tensor(np.full((2, 2), np.nan)),
-                  "b": Tensor.zeros((1,), dtype=np.float64)}
+                  "b": Tensor(np.zeros((1,), dtype=np.float64))}
     for bad in (bad_shape, bad_names, bad_values):
         with pytest.raises(UpdateError):
             adam_step(state, params, bad)

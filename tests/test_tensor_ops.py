@@ -68,13 +68,6 @@ def test_tensor_default_dtype_is_float32():
     assert Tensor(np.ones(3, dtype=np.float64)).dtype == np.float64
 
 
-def test_tensor_zeros_and_full():
-    z = Tensor.zeros((2, 3))
-    assert z.shape == (2, 3) and float(np.abs(z.data).max()) == 0.0
-    f = Tensor.full((4,), 2.5)
-    assert np.array_equal(f.data, np.full(4, 2.5, dtype=np.float32))
-
-
 # ---------------------------------------------------------------------------
 # conv2d
 
@@ -83,14 +76,14 @@ def test_conv2d_identity_kernel():
     rng = np.random.default_rng(1)
     x = t(rng.random((2, 1, 5, 5)))
     w = t([[[[1.0]]]])
-    out, _ = conv2d(x, w, Tensor.zeros((1,), dtype=np.float64))
+    out, _ = conv2d(x, w, Tensor(np.zeros((1,), dtype=np.float64)))
     assert np.array_equal(out.data, x.data)
 
 
 def test_conv2d_window_sums():
     x = t(np.arange(1.0, 10.0).reshape(1, 1, 3, 3))
     w = t(np.ones((1, 1, 2, 2)))
-    out, _ = conv2d(x, w, Tensor.zeros((1,), dtype=np.float64))
+    out, _ = conv2d(x, w, Tensor(np.zeros((1,), dtype=np.float64)))
     # 1+2+4+5=12, 2+3+5+6=16, 4+5+7+8=24, 5+6+8+9=28
     assert np.array_equal(out.data[0, 0], np.array([[12.0, 16.0], [24.0, 28.0]]))
 
@@ -98,20 +91,20 @@ def test_conv2d_window_sums():
 def test_conv2d_pad1_preserves_extent():
     x = t(np.random.default_rng(2).random((1, 2, 6, 6)))
     w = t(np.random.default_rng(3).random((4, 2, 3, 3)))
-    out, _ = conv2d(x, w, Tensor.zeros((4,), dtype=np.float64), stride=1, pad=1)
+    out, _ = conv2d(x, w, Tensor(np.zeros((4,), dtype=np.float64)), stride=1, pad=1)
     assert out.shape == (1, 4, 6, 6)
 
 
 def test_conv2d_stride_two_window_sums():
     x = t(np.arange(1.0, 17.0).reshape(1, 1, 4, 4))
     w = t(np.ones((1, 1, 2, 2)))
-    out, _ = conv2d(x, w, Tensor.zeros((1,), dtype=np.float64), stride=2)
+    out, _ = conv2d(x, w, Tensor(np.zeros((1,), dtype=np.float64)), stride=2)
     # non-overlapping 2x2 sums of 1..16
     assert np.array_equal(out.data[0, 0], np.array([[14.0, 22.0], [46.0, 54.0]]))
 
 
 def test_conv2d_bias_broadcast():
-    x = Tensor.zeros((1, 1, 4, 4), dtype=np.float64)
+    x = Tensor(np.zeros((1, 1, 4, 4), dtype=np.float64))
     w = t(np.ones((2, 1, 3, 3)))
     out, _ = conv2d(x, w, t([0.5, -1.5]), pad=1)
     assert np.array_equal(out.data[0, 0], np.full((4, 4), 0.5))
@@ -122,7 +115,7 @@ def test_conv2d_kernel_larger_than_padded_input():
     x = t(np.ones((1, 1, 2, 2)))
     w = t(np.ones((1, 1, 3, 3)))
     with pytest.raises(DimensionError):
-        conv2d(x, w, Tensor.zeros((1,), dtype=np.float64))
+        conv2d(x, w, Tensor(np.zeros((1,), dtype=np.float64)))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +128,7 @@ def test_maxpool2_max_of_four():
 
 
 def test_maxpool2_constant_image():
-    out, _ = maxpool2(Tensor.full((1, 2, 4, 4), 7.0, dtype=np.float64))
+    out, _ = maxpool2(Tensor(np.full((1, 2, 4, 4), 7.0, dtype=np.float64)))
     assert out.shape == (1, 2, 2, 2) and np.array_equal(out.data, np.full((1, 2, 2, 2), 7.0))
 
 
@@ -225,8 +218,8 @@ def test_upsample2_backward_matches_the_reshaped_block_sum_bit_for_bit():
         for dtype in (np.float32, np.float64):
             for g in cases:
                 g = g.astype(dtype)
-                _, ctx = upsample2(Tensor.zeros((batch, chans, height // 2, width // 2),
-                                                dtype=dtype))
+                _, ctx = upsample2(Tensor(np.zeros((batch, chans, height // 2, width // 2),
+                                                   dtype=dtype)))
                 got = upsample2_backward(ctx, Tensor(g)).data
                 want = g.reshape(batch, chans, height // 2, 2, width // 2, 2).sum(axis=(3, 5))
                 assert got.dtype == dtype
@@ -282,7 +275,7 @@ def test_concat_channels_backward_is_exact_partition():
 
 def test_dense_identity_weight():
     x = t(np.random.default_rng(9).random((3, 4)))
-    out, _ = dense(x, t(np.eye(4)), Tensor.zeros((4,), dtype=np.float64))
+    out, _ = dense(x, t(np.eye(4)), Tensor(np.zeros((4,), dtype=np.float64)))
     assert np.array_equal(out.data, x.data)
 
 
@@ -293,14 +286,14 @@ def test_dense_hand_arithmetic():
 
 def test_dense_zero_weight_passes_bias():
     x = t(np.random.default_rng(10).random((3, 4)))
-    out, _ = dense(x, Tensor.zeros((4, 2), dtype=np.float64), t([1.5, -2.5]))
+    out, _ = dense(x, Tensor(np.zeros((4, 2), dtype=np.float64)), t([1.5, -2.5]))
     assert np.array_equal(out.data, np.tile([1.5, -2.5], (3, 1)))
 
 
 def test_dense_backward_bias_is_column_sum():
     x = t(np.random.default_rng(11).random((2, 3)))
     w = t(np.random.default_rng(12).random((3, 2)))
-    _, ctx = dense(x, w, Tensor.zeros((2,), dtype=np.float64))
+    _, ctx = dense(x, w, Tensor(np.zeros((2,), dtype=np.float64)))
     g = t([[1.0, 2.0], [3.0, 4.0]])
     dx, dw, dbias = dense_backward(ctx, g)
     assert np.array_equal(dbias.data, np.array([4.0, 6.0]))
@@ -376,7 +369,7 @@ def test_numeric_gradient_constant_function():
     p = t([0.3, -0.7])
     num = numeric_gradient(lambda q: 42.0, p, h=1e-3)
     assert float(np.abs(num.data).max()) == 0.0
-    assert finite_diff_gradcheck(lambda q: 42.0, p, Tensor.zeros((2,), dtype=np.float64)) == 0.0
+    assert finite_diff_gradcheck(lambda q: 42.0, p, Tensor(np.zeros((2,), dtype=np.float64))) == 0.0
 
 
 def test_numeric_gradient_restores_parameter_bits():
@@ -621,25 +614,25 @@ def test_zero_upstream_gives_zero_gradients_everywhere():
     bias = t(rng.standard_normal(2))
 
     out, ctx = conv2d(x, w, bias, pad=1)
-    for g in conv2d_backward(ctx, Tensor.zeros(out.shape, dtype=np.float64)):
+    for g in conv2d_backward(ctx, Tensor(np.zeros(out.shape, dtype=np.float64))):
         assert float(np.abs(g.data).max()) == 0.0
 
     out, ctx = maxpool2(x)
-    assert float(np.abs(maxpool2_backward(ctx, Tensor.zeros(out.shape, dtype=np.float64)).data).max()) == 0.0
+    assert float(np.abs(maxpool2_backward(ctx, Tensor(np.zeros(out.shape, dtype=np.float64))).data).max()) == 0.0
 
     out, ctx = relu(x)
-    assert float(np.abs(relu_backward(ctx, Tensor.zeros(out.shape, dtype=np.float64)).data).max()) == 0.0
+    assert float(np.abs(relu_backward(ctx, Tensor(np.zeros(out.shape, dtype=np.float64))).data).max()) == 0.0
 
     out, ctx = upsample2(x)
-    assert float(np.abs(upsample2_backward(ctx, Tensor.zeros(out.shape, dtype=np.float64)).data).max()) == 0.0
+    assert float(np.abs(upsample2_backward(ctx, Tensor(np.zeros(out.shape, dtype=np.float64))).data).max()) == 0.0
 
     out, ctx = concat_channels(x, x)
-    for g in concat_channels_backward(ctx, Tensor.zeros(out.shape, dtype=np.float64)):
+    for g in concat_channels_backward(ctx, Tensor(np.zeros(out.shape, dtype=np.float64))):
         assert float(np.abs(g.data).max()) == 0.0
 
     xd = t(rng.random((2, 3)))
     out, ctx = dense(xd, t(rng.standard_normal((3, 2))), t(rng.standard_normal(2)))
-    for g in dense_backward(ctx, Tensor.zeros(out.shape, dtype=np.float64)):
+    for g in dense_backward(ctx, Tensor(np.zeros(out.shape, dtype=np.float64))):
         assert float(np.abs(g.data).max()) == 0.0
 
 
