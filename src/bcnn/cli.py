@@ -6,9 +6,14 @@ value), 2 runtime failure (unreadable corpus, bad checkpoint, training
 abort), 3 gradient check exceeded its tolerance.  Every run prints its
 resolved configuration first, and identical invocations on identical
 inputs produce byte-identical outputs.
+
+The argument parser is built on the first call of :func:`main` and
+reused for the rest of the process, so ``main`` can be called
+repeatedly at little cost.
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -24,7 +29,7 @@ from .tensor import Tensor
 from .train import (Checkpoint, TrainConfig, evaluate, load_checkpoint,
                     save_checkpoint, train, write_log)
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 
 class _UsageError(Exception):
@@ -48,7 +53,10 @@ def _float_list(text):
     return values
 
 
-def build_parser():
+# Built once per process: parse_args keeps no state between calls, each
+# gets a fresh Namespace, and _Parser.error raises instead of exiting.
+@functools.cache
+def _build_parser():
     parser = _Parser(prog="bcnn", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -245,9 +253,8 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

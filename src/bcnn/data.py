@@ -53,6 +53,21 @@ def _is_int(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value):
+    """True for Python and numpy integers and floats other than bool."""
+    return isinstance(value, (float, np.floating)) or _is_int(value)
+
+
+def _tuple_of(values, is_kind, kind):
+    """``values`` converted item by item with ``kind``, or None unless it
+    is an iterable whose items all pass ``is_kind`` and convert."""
+    try:
+        items = tuple(values)
+        return tuple(kind(v) for v in items) if all(map(is_kind, items)) else None
+    except (TypeError, OverflowError):
+        return None
+
+
 @dataclass
 class LabeledImage:
     """One grayscale image with its class label (and source path, if any)."""
@@ -272,9 +287,12 @@ class AugmentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        self.rotations = tuple(float(r) for r in self.rotations)
-        self.scales = tuple(float(s) for s in self.scales)
-        self.brightness = tuple(float(b) for b in self.brightness)
+        for name in ("rotations", "scales", "brightness"):
+            given = getattr(self, name)
+            values = _tuple_of(given, _is_real, float)
+            if values is None:
+                raise ConfigError(f"{name} must be a sequence of numbers, got {given!r}")
+            setattr(self, name, values)
         if not (self.rotations and self.scales and self.brightness):
             raise ConfigError("every augmentation parameter set needs at least one value")
         if not all(np.isfinite(self.rotations)):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _is_int
+from .data import _is_int, _tuple_of
 from .errors import ConfigError, ConsistencyError, DimensionError, NumericError
 from .tensor import (OpContext, Tensor, concat_channels, concat_channels_backward,
                      conv2d, conv2d_backward, dense, dense_backward,
@@ -60,10 +60,11 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not all(map(_is_int, (self.input_size, self.stages, self.classes, self.seed,
-                                 *self.channels))):
+        channels = _tuple_of(self.channels, _is_int, int)
+        if channels is None or not all(map(_is_int, (self.input_size, self.stages,
+                                                     self.classes, self.seed))):
             raise ConfigError(f"every field must hold integers, got {self!r}")
-        object.__setattr__(self, "channels", tuple(int(c) for c in self.channels))
+        object.__setattr__(self, "channels", channels)
         if self.stages < 2:
             raise ConfigError(f"the cascade needs at least 2 stages, got {self.stages}")
         if len(self.channels) != self.stages:

@@ -191,7 +191,10 @@ def conv2d(x, w, bias, stride=1, pad=0):
     out_h = (height + 2 * pad - kh) // stride + 1
     out_w = (width + 2 * pad - kw) // stride + 1
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
+    xp = x.data
+    if pad:  # np.pad's bytes, without its per-call Python-level work
+        xp = np.zeros(x.shape[:2] + (height + 2 * pad, width + 2 * pad), dtype=x.dtype)
+        xp[:, :, pad:pad + height, pad:pad + width] = x.data
     out, cols = _correlate(xp, w.data, stride, out_h, out_w)
     out += bias.data[None, :, None, None]
     saved = {"w": w.data, "x_shape": x.shape, "stride": stride, "pad": pad,

@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_atomic
-from .data import AugmentSpec, _is_int, augment_dataset, stratified_split, to_batches
+from .data import (AugmentSpec, _is_int, _is_real, augment_dataset, stratified_split,
+                   to_batches)
 from .errors import (ConfigError, ConsistencyError, CorpusError, FormatError,
                      IntegrityError, NumericError, TrainingError, UpdateError,
                      VersionError)
@@ -70,14 +71,17 @@ class TrainConfig:
             raise ConfigError(f"epochs must be a positive integer, got {self.epochs!r}")
         if not (_is_int(self.batch_size) and self.batch_size >= 1):
             raise ConfigError(f"batch_size must be a positive integer, got {self.batch_size!r}")
-        if not 0 < self.lr < math.inf:
-            raise ConfigError(f"learning rate must be positive and finite, got {self.lr}")
-        if not 0 < self.val_ratio < 1:
-            raise ConfigError(f"val_ratio must lie strictly between 0 and 1, got {self.val_ratio}")
-        if self.optimizer not in ("adam", "sgd"):
+        if not (_is_real(self.lr) and 0 < self.lr < math.inf):
+            raise ConfigError(f"learning rate must be positive and finite, got {self.lr!r}")
+        if not (_is_real(self.val_ratio) and 0 < self.val_ratio < 1):
+            raise ConfigError(
+                f"val_ratio must lie strictly between 0 and 1, got {self.val_ratio!r}")
+        if not (isinstance(self.optimizer, str) and self.optimizer in ("adam", "sgd")):
             raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if not (_is_int(self.seed) and 0 <= self.seed < 2 ** 32):
             raise ConfigError(f"seed must fit an unsigned 32-bit integer, got {self.seed!r}")
+        if not (self.augment is None or isinstance(self.augment, AugmentSpec)):
+            raise ConfigError(f"augment must be an AugmentSpec or None, got {self.augment!r}")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,16 @@
 """End-to-end command-line coverage: every subcommand plus the exit-code
 taxonomy (0 ok, 1 usage, 2 runtime, 3 failed gradient check)."""
 
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bcnn
+import bcnn.cli
 from bcnn.cli import main
 from bcnn.data import CLASS_NAMES
 from bcnn.train import load_checkpoint
@@ -162,6 +168,58 @@ def test_predict_prints_class_and_probabilities(corpus_dir, run_dir, capsys):
     values = [float(p.split("=")[1]) for p in pairs]
     assert all(0.0 <= v <= 1.0 for v in values)
     assert abs(sum(values) - 1.0) < 1e-3  # 4-decimal rendering
+
+
+# ---------------------------------------------------------------------------
+# repeated calls in one process
+
+
+def _main_alone(argv):
+    """(exit code, stdout) of ``argv`` run as the only call of a fresh process."""
+    src = str(Path(bcnn.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "bcnn.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    return done.returncode, done.stdout
+
+
+def test_repeated_main_calls_match_calls_made_alone(corpus_dir, run_dir, capsys):
+    # main keeps one parser for the process; no call may see another's
+    # arguments or defaults.
+    train = ["train", "--data", str(corpus_dir), "--size", str(SIZE), "--batch", "8"]
+    calls = [
+        ["train", "--epochs", "x"],
+        ["predict", "--image", str(corpus_dir / "potholes" / "potholes_0001.pgm"),
+         "--checkpoint", str(run_dir / "model.bcnn")],
+        train + ["--epochs", "1", "--optimizer", "sgd", "--split-ratio-alt"],
+        train,
+    ]
+    capsys.readouterr()
+    in_process = []
+    for argv in calls:
+        code = main(argv)
+        in_process.append((code, capsys.readouterr().out))
+    assert [code for code, _ in in_process] == [1, 0, 0, 0]
+    config = in_process[3][1].splitlines()[0]
+    assert "epochs=15 " in config and "optimizer=adam " in config
+    assert "split_ratio_alt=False" in config
+    assert in_process == [_main_alone(argv) for argv in calls]
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    built = []
+
+    class CountingParser(bcnn.cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.prog == "bcnn":  # subcommand parsers are named "bcnn <command>"
+                built.append(self)
+
+    monkeypatch.setattr(bcnn.cli, "_Parser", CountingParser)
+    for _ in range(3):
+        assert main(["gradcheck", "--tol", "0"]) == 1
+    assert len(built) <= 1  # none when an earlier test already built it
 
 
 # ---------------------------------------------------------------------------

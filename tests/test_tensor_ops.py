@@ -490,6 +490,26 @@ def test_conv2d_paths_agree_for_any_stride_pad_and_kernel():
         np.testing.assert_allclose(dbias.data, wide_dbias.data[:2], rtol=1e-12, atol=1e-12)
 
 
+def test_conv2d_padding_matches_a_pre_padded_input_bit_for_bit():
+    # conv2d's own zero padding and np.pad's both write +0.0, so the
+    # output must carry the bits of the same input padded beforehand.
+    rng = np.random.default_rng(37)
+    for dtype in (np.float32, np.float64):
+        for c_in, c_out in CONV_CHANNELS:  # im2col, then shift-accumulate
+            x = rng.standard_normal((2, c_in, 7, 6)).astype(dtype)
+            w = t(rng.standard_normal((c_out, c_in, 3, 3)), dtype)
+            bias = t(rng.standard_normal(c_out), dtype)
+            for pad in range(4):
+                padded = t(np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))), dtype)
+                for stride in (1, 2, 3):
+                    out, _ = conv2d(t(x, dtype), w, bias, stride=stride, pad=pad)
+                    ref, _ = conv2d(padded, w, bias, stride=stride, pad=0)
+                    case = (dtype.__name__, c_in, c_out, pad, stride)
+                    assert out.dtype == dtype, case
+                    assert out.shape == ref.shape, case
+                    assert out.data.tobytes() == ref.data.tobytes(), case
+
+
 def test_conv2d_backward_is_the_adjoint_of_conv2d():
     # With zero bias conv2d is linear in x and in w, so its gradients are
     # adjoints: <conv2d(x), g> == <x, d_x> == <w, d_w>.  The channel pairs

@@ -15,7 +15,8 @@ import pytest
 import bcnn
 import bcnn.model
 import bcnn.train
-from bcnn.data import DatasetManifest, stratified_split, synth_generate, to_batches
+from bcnn.data import (AugmentSpec, DatasetManifest, stratified_split, synth_generate,
+                       to_batches)
 from bcnn.errors import (
     ConfigError,
     ConsistencyError,
@@ -93,6 +94,28 @@ def test_train_config_validation():
 def test_train_config_rejects_a_non_integer_seed(seed):
     with pytest.raises(ConfigError):
         TrainConfig(seed=seed)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ModelConfig(channels=5),
+    lambda: ModelConfig(channels=None),
+    lambda: TrainConfig(lr="0.1"),
+    lambda: TrainConfig(lr=None),
+    lambda: TrainConfig(val_ratio=None),
+    lambda: TrainConfig(optimizer=np.array(["adam", "sgd"])),
+    lambda: TrainConfig(augment=5),
+    lambda: AugmentSpec(rotations=5),
+    lambda: AugmentSpec(rotations="90"),
+    lambda: AugmentSpec(rotations=[10 ** 400]),
+    lambda: AugmentSpec(scales=["a"]),
+    lambda: AugmentSpec(brightness=None),
+], ids=["channels-int", "channels-none", "lr-str", "lr-none", "val-ratio-none",
+        "optimizer-array", "augment-int", "rotations-int", "rotations-str",
+        "rotations-overflow", "scales-str-items", "brightness-none"])
+def test_wrongly_typed_config_fields_raise_config_error(make):
+    # Library callers reach these checks without argparse's conversions.
+    with pytest.raises(ConfigError):
+        make()
 
 
 # ---------------------------------------------------------------------------
