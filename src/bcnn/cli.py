@@ -26,7 +26,7 @@ from .metrics import format_report, write_report_csv
 from .model import ModelConfig, forward, full_model_gradcheck
 from .netpbm import read_image, write_pgm
 from .tensor import Tensor
-from .train import (Checkpoint, TrainConfig, evaluate, load_checkpoint,
+from .train import (CHECKPOINT_VERSION, Checkpoint, TrainConfig, evaluate, load_checkpoint,
                     save_checkpoint, train, write_log)
 
 __all__ = ["main"]
@@ -191,7 +191,8 @@ def _cmd_train(args):
               f"train_loss={r.train_loss:.6f} train_acc={r.train_acc:.4f} "
               f"val_loss={r.val_loss:.6f} val_acc={r.val_acc:.4f}")
     if args.checkpoint:
-        save_checkpoint(args.checkpoint, Checkpoint(version=1, config=model_config, params=params))
+        save_checkpoint(args.checkpoint, Checkpoint(version=CHECKPOINT_VERSION,
+                                                    config=model_config, params=params))
         print(f"saved checkpoint to {args.checkpoint}")
     if args.log:
         write_log(args.log, records)

@@ -97,15 +97,13 @@ class DatasetManifest:
     """An ordered collection of labeled images plus bookkeeping.
 
     ``provenance`` records how the items came to be; ``seed`` is the seed
-    that produced them (None for corpora read from disk); ``skipped``
-    counts files the loader could not use.
+    that produced them (None for corpora read from disk).
     """
 
     class_names: list
     items: list
     provenance: str = "loaded"
     seed: int = None
-    skipped: int = 0
 
     def __post_init__(self):
         self.class_names = list(self.class_names)
@@ -146,13 +144,12 @@ def load_dataset(root):
     if len(class_dirs) < 2:
         raise CorpusError(
             f"corpus needs at least two class directories, found {len(class_dirs)}")
-    items, skipped = [], 0
+    items = []
     for label, cdir in enumerate(class_dirs):
         found = 0
         for f in sorted(p for p in cdir.iterdir() if p.is_file()):
             if f.suffix.lower() not in _IMAGE_SUFFIXES:
                 warnings.warn(f"skipping {f}: not a PGM/PPM file")
-                skipped += 1
                 continue
             try:
                 pixels = read_image(f)
@@ -160,11 +157,9 @@ def load_dataset(root):
                 found += 1
             except (BcnnError, OSError) as exc:
                 warnings.warn(f"skipping {f}: {exc}")
-                skipped += 1
         if not found:
             raise CorpusError(f"class directory {cdir} has no usable images")
-    return DatasetManifest([d.name for d in class_dirs], items,
-                           provenance="loaded", seed=None, skipped=skipped)
+    return DatasetManifest([d.name for d in class_dirs], items, provenance="loaded", seed=None)
 
 
 def stratified_split(manifest, train_ratio, seed):
@@ -204,8 +199,7 @@ def stratified_split(manifest, train_ratio, seed):
         train_items += [manifest.items[i] for i in chosen[:take[label]]]
         val_items += [manifest.items[i] for i in chosen[take[label]:]]
     make = lambda items: DatasetManifest(manifest.class_names, items,
-                                         provenance=manifest.provenance, seed=seed,
-                                         skipped=manifest.skipped)
+                                         provenance=manifest.provenance, seed=seed)
     return make(train_items), make(val_items)
 
 
@@ -218,8 +212,11 @@ def rotate(pixels, angle):
 
     Multiples of 90 are exact index permutations; any other angle uses an
     inverse-map nearest-neighbour resample around the image centre, with
-    pixels that fall outside the source filled by the image median.
+    pixels that fall outside the source filled by the image median.  A
+    non-numeric or non-finite angle raises :class:`ConfigError`.
     """
+    if not (_is_real(angle) and np.isfinite(angle)):
+        raise ConfigError(f"rotation angle must be a finite number, got {angle!r}")
     pixels = np.asarray(pixels)
     a = float(angle) % 360.0
     if a in (0.0, 90.0, 180.0, 270.0):
@@ -323,9 +320,7 @@ def augment_dataset(manifest, spec):
             bright = spec.brightness[rng.integers(len(spec.brightness))]
             pixels = adjust_brightness(scale_image(rotate(item.pixels, angle), scale), bright)
             out.append(LabeledImage(pixels, item.label, path=None))
-    return DatasetManifest(manifest.class_names, out,
-                           provenance="augmented", seed=spec.seed,
-                           skipped=manifest.skipped)
+    return DatasetManifest(manifest.class_names, out, provenance="augmented", seed=spec.seed)
 
 
 # ---------------------------------------------------------------------------

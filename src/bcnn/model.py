@@ -38,7 +38,6 @@ __all__ = [
     "build_model",
     "forward",
     "backward",
-    "predict",
     "full_model_gradcheck",
 ]
 
@@ -187,8 +186,7 @@ def forward(params, batch):
     f_maps, down_ctxs = [], []
     cur = batch
     for k in range(1, stages + 1):
-        conv_out, conv_ctx = conv2d(cur, params[f"fwd{k}_w"], params[f"fwd{k}_b"],
-                                    stride=1, pad=1)
+        conv_out, conv_ctx = conv2d(cur, params[f"fwd{k}_w"], params[f"fwd{k}_b"])
         pooled, pool_ctx = maxpool2(conv_out)
         cur, relu_ctx = relu(pooled)
         f_maps.append(cur)
@@ -199,8 +197,7 @@ def forward(params, batch):
     for k in range(stages - 1, 0, -1):
         up, up_ctx = upsample2(coarse)
         fused, cat_ctx = concat_channels(f_maps[k - 1], up)
-        conv_out, conv_ctx = conv2d(fused, params[f"refine{k}_w"], params[f"refine{k}_b"],
-                                    stride=1, pad=1)
+        conv_out, conv_ctx = conv2d(fused, params[f"refine{k}_w"], params[f"refine{k}_b"])
         coarse, relu_ctx = relu(conv_out)
         up_ctxs[k - 1] = (up_ctx, cat_ctx, conv_ctx, relu_ctx)
 
@@ -274,12 +271,6 @@ def backward(params, trace, d_logits):
     return grads
 
 
-def predict(params, batch):
-    """Class index per item: argmax over logits, ties to the lowest index."""
-    logits, _ = forward(params, batch)
-    return np.argmax(logits.data, axis=1)
-
-
 def _kink_margin(trace):
     """Distance of the traced forward pass from its nearest decision flip.
 
@@ -311,41 +302,44 @@ def _kink_margin(trace):
     return margin
 
 
-def full_model_gradcheck(config=None, seed=0, h=1e-3, batch=2,
-                         margin=5e-3, max_attempts=5000):
+_GRADCHECK_SHAPE = dict(input_size=8, stages=2, channels=(2, 3), classes=3)
+_GRADCHECK_BATCH, _GRADCHECK_H, _GRADCHECK_MARGIN, _GRADCHECK_ATTEMPTS = 2, 1e-3, 5e-3, 5000
+
+
+def full_model_gradcheck(seed=0):
     """Finite-difference check of ``backward`` through the whole network.
 
-    Builds a float64 model (default: 8x8 input, two stages of 2 and 3
-    channels, 3 classes), runs one forward/backward pass of the mean
-    cross-entropy loss, and compares every parameter's analytic gradient
+    Builds a float64 model (8x8 input, two stages of 2 and 3 channels, 3
+    classes), runs one forward/backward pass of the mean cross-entropy
+    loss on a batch of 2, and compares every parameter's analytic gradient
     against the central-difference estimate.  Returns a dict mapping each
     parameter name to its max relative error.
 
     The input batch is drawn deterministically from ``(seed, attempt)``
     streams, and an attempt is accepted only if the forward pass keeps
-    every ReLU input and pooling decision at least ``margin`` away from
-    flipping; a perturbation of size ``h`` must not change any activation
-    pattern, or the finite-difference quotient measures the wrong branch.
+    every ReLU input and pooling decision at least the margin 5e-3 away
+    from flipping; a perturbation of size h = 1e-3 must not change any
+    activation pattern, or the finite-difference quotient measures the
+    wrong branch.
     """
-    if config is None:
-        config = ModelConfig(input_size=8, stages=2, channels=(2, 3), classes=3, seed=seed)
+    config = ModelConfig(seed=seed, **_GRADCHECK_SHAPE)
     params = build_model(config, np.float64)
     # A small positive bias keeps no conv channel's pre-activation
     # distribution centred exactly on the ReLU kink.
     for name, tensor in params.items():
         if name.endswith("_b"):
             tensor.data[...] = 0.25
-    for attempt in range(max_attempts):
+    size = config.input_size
+    for attempt in range(_GRADCHECK_ATTEMPTS):
         rng = np.random.default_rng((seed, attempt))
-        x = Tensor(rng.random((batch, 1, config.input_size, config.input_size)),
-                   dtype=np.float64)
-        y = rng.integers(0, config.classes, size=batch)
+        x = Tensor(rng.random((_GRADCHECK_BATCH, 1, size, size)), dtype=np.float64)
+        y = rng.integers(0, config.classes, size=_GRADCHECK_BATCH)
         logits, trace = forward(params, x)
-        if _kink_margin(trace) >= margin:
+        if _kink_margin(trace) >= _GRADCHECK_MARGIN:
             break
     else:
-        raise NumericError(
-            f"no input with kink margin >= {margin} found in {max_attempts} attempts")
+        raise NumericError(f"no input with kink margin >= {_GRADCHECK_MARGIN} found in "
+                           f"{_GRADCHECK_ATTEMPTS} attempts")
 
     _, d_logits = softmax_xent(logits, y)
     grads = backward(params, trace, d_logits)
@@ -356,5 +350,6 @@ def full_model_gradcheck(config=None, seed=0, h=1e-3, batch=2,
 
     errors = {}
     for name in params:
-        errors[name] = finite_diff_gradcheck(loss_now, params[name], grads[name], h=h)
+        errors[name] = finite_diff_gradcheck(loss_now, params[name], grads[name],
+                                             h=_GRADCHECK_H)
     return errors

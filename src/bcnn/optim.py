@@ -15,28 +15,25 @@ from .tensor import Tensor
 __all__ = ["AdamState", "adam_init", "adam_step", "sgd_step"]
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults).
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment estimates plus the shared step counter."""
 
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
 
-def adam_init(params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_init(params, lr=1e-3):
     """Fresh Adam state with zeroed moments mirroring ``params``."""
     if not 0 < lr < np.inf:
         raise ConfigError(f"learning rate must be positive and finite, got {lr}")
-    if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
-        raise ConfigError(f"betas must lie in [0, 1), got {beta1} and {beta2}")
-    if not eps > 0:
-        raise ConfigError(f"eps must be positive, got {eps}")
-    state = AdamState(lr=float(lr), beta1=float(beta1), beta2=float(beta2), eps=float(eps))
+    state = AdamState(lr=float(lr))
     for name, p in params.items():
         state.m[name] = Tensor(np.zeros(p.shape, dtype=p.dtype))
         state.v[name] = Tensor(np.zeros(p.shape, dtype=p.dtype))
@@ -73,19 +70,19 @@ def adam_step(state, params, grads):
     _validate_grads(params, grads, mirror=state.m)
     _validate_grads(params, grads, mirror=state.v)
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - _BETA1 ** state.t
+    bc2 = 1.0 - _BETA2 ** state.t
     for name, p in params.items():
         g = grads[name].data
         m = state.m[name].data
         v = state.v[name].data
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * np.square(g)
         m_hat = m / bc1
         v_hat = v / bc2
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + _EPS)
     return state, params
 
 

@@ -8,8 +8,9 @@ input and recomputes its mask in backward.  Conventions fixed here and
 relied on everywhere else:
 
 - image batches are laid out ``(batch, channels, height, width)``;
-- convolution is cross-correlation (no kernel flip) with zero padding and
-  floor semantics for strided output sizes;
+- convolution is stride-1 cross-correlation (no kernel flip) with odd
+  kernels and "same" zero padding: ``kh // 2`` rows and ``kw // 2``
+  columns on each side, so the output keeps the input's extent;
 - a convolution unfolds its narrower side into the GEMM: the input
   (im2col) when ``C_in <= C_out``, the kernel (shift-accumulate) when
   ``C_in > C_out``, so the ``kh*kw``-fold buffer holds
@@ -19,8 +20,9 @@ relied on everywhere else:
   emit (48->16, 96->32), and on them shift-accumulate is 1.8-2.5x faster
   than im2col; on the forward-cascade convs (1->16, 16->32, 32->64)
   im2col is 1.5-28x faster;
-- the conv's input gradient is the forward correlation of the transposed
-  problem (the kernel flipped, its channels swapped), under the same rule;
+- the conv's input gradient is the forward correlation, padding included,
+  of the upstream gradient with the kernel flipped and its channels
+  swapped, under the same rule;
 - ReLU has gradient 0 at exactly 0, and max pooling breaks ties toward the
   lowest flat index;
 - storage is float32 by default, while gradient checking runs in float64.
@@ -127,78 +129,69 @@ def _take(ctx, op):
 # conv2d
 
 
-def _im2col(x, kh, kw, stride, out_h, out_w):
-    """Unfold (B, C, H, W) into (B, C*kh*kw, out_h*out_w) patch columns."""
-    batch, chans, _, _ = x.shape
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(batch, chans * kh * kw, out_h * out_w)
-    return np.ascontiguousarray(cols)
+def _pad(x, ph, pw):
+    """``x`` with ``ph`` zero rows and ``pw`` zero columns added on each
+    side: np.pad's bytes, without its per-call Python-level work."""
+    batch, chans, height, width = x.shape
+    xp = np.zeros((batch, chans, height + 2 * ph, width + 2 * pw), dtype=x.dtype)
+    xp[:, :, ph:ph + height, pw:pw + width] = x
+    return xp
 
 
-def _correlate(xp, w, stride, out_h, out_w):
-    """Correlates an already padded input with ``w``; returns the output
-    and its im2col columns, or None for them on the shift-accumulate path."""
-    batch, c_in = xp.shape[:2]
+def _correlate(xp, w):
+    """Correlates an already padded input with ``w`` at every position the
+    kernel fits, ``(H-kh+1) x (W-kw+1)``; returns the output and its im2col
+    columns, or None for them on the shift-accumulate path."""
+    batch, c_in, height, width = xp.shape
     c_out, _, kh, kw = w.shape
+    out_h, out_w = height - kh + 1, width - kw + 1
     if c_in <= c_out:
-        cols = _im2col(xp, kh, kw, stride, out_h, out_w)
+        # im2col: (B, C_in*kh*kw, out_h*out_w) patch columns.
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+        cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(batch, c_in * kh * kw, -1)
         out = np.matmul(w.reshape(c_out, c_in * kh * kw), cols)
         return out.reshape(batch, c_out, out_h, out_w), cols
-    # Kernel rows (o, i, j) times the input, then tap (i, j)'s strided window of each plane.
+    # Kernel rows (o, i, j) times the input, then tap (i, j)'s shifted window of each plane.
     rows = w.transpose(0, 2, 3, 1).reshape(c_out * kh * kw, c_in)
     planes = np.matmul(rows, xp.reshape(batch, c_in, -1))
-    planes = planes.reshape((batch, c_out, kh, kw) + xp.shape[2:])
-    taps = [planes[:, :, i, j, i:i + stride * out_h:stride, j:j + stride * out_w:stride]
-            for i in range(kh) for j in range(kw)]
+    planes = planes.reshape(batch, c_out, kh, kw, height, width)
+    taps = [planes[:, :, i, j, i:i + out_h, j:j + out_w] for i in range(kh) for j in range(kw)]
     out = taps[0].copy()
     for tap in taps[1:]:
         out += tap
     return out, None
 
 
-def conv2d(x, w, bias, stride=1, pad=0):
-    """2-D cross-correlation over a batch.
+def conv2d(x, w, bias):
+    """Same-padded, stride-1 2-D cross-correlation over a batch.
 
-    ``x`` is (B, C_in, H, W), ``w`` is (C_out, C_in, kh, kw), ``bias`` is
-    (C_out,).  Zero padding of ``pad`` pixels is applied on all four sides
-    and the output size follows floor semantics:
-    ``H' = (H + 2*pad - kh) // stride + 1``.
+    ``x`` is (B, C_in, H, W), ``w`` is (C_out, C_in, kh, kw) with odd
+    ``kh`` and ``kw``, ``bias`` is (C_out,).  The input gets ``kh // 2``
+    zero rows and ``kw // 2`` zero columns on each side, so the output
+    is (B, C_out, H, W).
 
     The GEMM unfolds the narrower side of the layer, chosen from the
     channel counts alone.  With ``C_in <= C_out`` the input is unrolled
     into ``C_in*kh*kw`` patch rows (im2col) and multiplied by the kernel.
     With ``C_in > C_out`` the kernel rows ``(o, i, j)`` multiply the padded
-    input directly and the ``kh*kw`` shifted, strided output planes are
-    summed (shift-accumulate); its context keeps the input instead of a
+    input directly and the ``kh*kw`` shifted output planes are summed
+    (shift-accumulate); its context keeps the input instead of a
     ``kh*kw``-fold column buffer.
     """
     _require(x.rank == 4, f"conv2d input must be rank 4, got rank {x.rank}")
     _require(w.rank == 4, f"conv2d kernel must be rank 4, got rank {w.rank}")
     _require(bias.rank == 1, f"conv2d bias must be rank 1, got rank {bias.rank}")
-    if not (isinstance(stride, int) and stride >= 1):
-        raise DimensionError(f"conv2d stride must be a positive integer, got {stride!r}")
-    if not (isinstance(pad, int) and pad >= 0):
-        raise DimensionError(f"conv2d pad must be a non-negative integer, got {pad!r}")
-    _, c_in, height, width = x.shape
+    c_in = x.shape[1]
     c_out, c_w, kh, kw = w.shape
+    _require(kh % 2 == 1 and kw % 2 == 1, f"conv2d kernel extents must be odd, got {kh}x{kw}")
     _require(c_w == c_in,
              f"kernel expects {c_w} input channels but input has {c_in}")
     _require(bias.shape == (c_out,),
              f"bias shape {bias.shape} does not match {c_out} output channels")
-    _require(height + 2 * pad >= kh and width + 2 * pad >= kw,
-             f"kernel {kh}x{kw} larger than padded input {height + 2 * pad}x{width + 2 * pad}")
-    out_h = (height + 2 * pad - kh) // stride + 1
-    out_w = (width + 2 * pad - kw) // stride + 1
 
-    xp = x.data
-    if pad:  # np.pad's bytes, without its per-call Python-level work
-        xp = np.zeros(x.shape[:2] + (height + 2 * pad, width + 2 * pad), dtype=x.dtype)
-        xp[:, :, pad:pad + height, pad:pad + width] = x.data
-    out, cols = _correlate(xp, w.data, stride, out_h, out_w)
+    out, cols = _correlate(_pad(x.data, kh // 2, kw // 2), w.data)
     out += bias.data[None, :, None, None]
-    saved = {"w": w.data, "x_shape": x.shape, "stride": stride, "pad": pad,
-             "out_hw": (out_h, out_w)}
+    saved = {"w": w.data, "x_shape": x.shape}
     if cols is None:
         saved["x"] = x.data
     else:
@@ -212,38 +205,29 @@ def conv2d_backward(ctx, grad_out, input_grad=True):
     With ``input_grad=False`` the input gradient is not computed and
     ``d_input`` is None; a network's first layer has no use for it.
 
-    The input gradient is the forward correlation of the transposed
-    problem (Dumoulin & Visin 2016): the upstream gradient, spread at the
-    stride over a zero ``(H+kh-1) x (W+kw-1)`` grid, correlated with the
-    kernel flipped and its channels swapped.  ``d_kernel`` is the upstream
-    gradient times the saved im2col columns or, on shift-accumulate layers,
-    that correlation's columns times the saved input, with taps flipped.
+    The input gradient of a same-padded, stride-1 correlation is the same
+    correlation of the upstream gradient, run with the kernel flipped and
+    its channels swapped (Dumoulin & Visin 2016).  ``d_kernel`` is the
+    upstream gradient times the saved im2col columns or, on
+    shift-accumulate layers, that correlation's columns times the saved
+    input, with taps flipped.
     """
     saved = _take(ctx, "conv2d")
     w = saved["w"]
     batch, c_in, height, width = saved["x_shape"]
-    stride, pad = saved["stride"], saved["pad"]
-    out_h, out_w = saved["out_hw"]
     c_out, _, kh, kw = w.shape
-    _require(grad_out.shape == (batch, c_out, out_h, out_w),
+    _require(grad_out.shape == (batch, c_out, height, width),
              f"conv2d upstream gradient has shape {grad_out.shape}, "
-             f"expected {(batch, c_out, out_h, out_w)}")
+             f"expected {(batch, c_out, height, width)}")
 
     g = grad_out.data
     d_bias = g.sum(axis=(0, 2, 3))
     # Shift-accumulate layers take d_w from the input-gradient correlation's columns.
     if input_grad or "cols" not in saved:
-        # g[y, x] goes to row kh-1-pad+stride*y, column kw-1-pad+stride*x; with pad >= kh
-        # or kw, entries that meet only padding fall outside the grid, into a border cut away.
-        edge = max(0, pad + 1 - min(kh, kw))
-        grid = np.zeros((batch, c_out, height + kh - 1 + 2 * edge, width + kw - 1 + 2 * edge),
-                        dtype=g.dtype)
-        first_r, first_c = edge + kh - 1 - pad, edge + kw - 1 - pad
-        grid[:, :, first_r::stride, first_c::stride][:, :, :out_h, :out_w] = g
-        grid = grid[:, :, edge:edge + height + kh - 1, edge:edge + width + kw - 1]
-        d_x, d_cols = _correlate(grid, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, height, width)
+        d_x, d_cols = _correlate(_pad(g, kh // 2, kw // 2),
+                                 w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     if "cols" in saved:
-        g = g.reshape(batch, c_out, out_h * out_w)
+        g = g.reshape(batch, c_out, height * width)
         d_w = np.matmul(g, saved["cols"].transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     else:
         x = saved["x"].reshape(batch, c_in, -1)

@@ -181,7 +181,7 @@ def _per_op_gradcheck_errors():
     x = Tensor(rng.random((2, 2, 6, 6)) + 0.1)
     w = Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.5)
     b = Tensor(rng.standard_normal(3) * 0.1)
-    sweep("conv2d", lambda: conv2d(x, w, b, stride=1, pad=1),
+    sweep("conv2d", lambda: conv2d(x, w, b),
           lambda ctx, u: conv2d_backward(ctx, u), (x, w, b))
 
     # tiered 2x2 blocks keep every pooling window's top-2 gap at least 0.2

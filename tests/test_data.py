@@ -171,10 +171,11 @@ def test_load_dataset_skips_unreadable_files_with_warning(tmp_path):
     write_class_dir(tmp_path, "potholes", 1)
     (tmp_path / "linear" / "notes.txt").write_text("not an image")
     (tmp_path / "potholes" / "broken.pgm").write_bytes(b"P5\n9 9\n255\nshort")
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as warned:
         manifest = load_dataset(tmp_path)
     assert manifest.counts == [2, 1]
-    assert manifest.skipped == 2
+    skips = sorted(str(w.message) for w in warned if str(w.message).startswith("skipping "))
+    assert len(skips) == 2 and "notes.txt" in skips[0] and "broken.pgm" in skips[1]
 
 
 def test_load_dataset_needs_two_nonempty_classes(tmp_path):
@@ -263,6 +264,14 @@ def test_rotate_four_quarter_turns_bitwise_identity():
 def test_rotate_180_equals_two_quarter_turns():
     img = np.random.default_rng(3).integers(0, 256, size=(7, 9), dtype=np.uint8)
     assert np.array_equal(rotate(img, 180), rotate(rotate(img, 90), 90))
+
+
+def test_rotate_rejects_non_finite_and_non_numeric_angles():
+    img = np.arange(16, dtype=np.uint8).reshape(4, 4)
+    for angle in (float("nan"), float("inf"), -float("inf"), np.float32("nan"), "90", None,
+                  True):
+        with pytest.raises(ConfigError):
+            rotate(img, angle)
 
 
 def test_rotate_arbitrary_angle_preserves_frame_and_fills_median():

@@ -16,7 +16,6 @@ from bcnn.model import (
     forward,
     full_model_gradcheck,
     parameter_shapes,
-    predict,
 )
 from bcnn.tensor import Tensor, conv2d_backward
 
@@ -224,30 +223,6 @@ def test_backward_rejects_foreign_trace():
     renamed["extra_w"] = renamed.pop("fwd1_w")
     with pytest.raises(ConsistencyError):
         backward(renamed, trace, Tensor(np.zeros((2, 3), dtype=np.float32)))
-
-
-# ---------------------------------------------------------------------------
-# predict
-
-
-def test_predict_matches_argmax_of_forward():
-    params = build_model(TINY)
-    x = batch_of(np.random.default_rng(8), TINY, 5)
-    logits, _ = forward(params, x)
-    assert np.array_equal(predict(params, x), np.argmax(logits.data, axis=1))
-
-
-def test_predict_argmax_and_tie_rule():
-    # zero head weights make every logit row equal head_b exactly
-    params = build_model(TINY)
-    params["head_w"] = Tensor(np.zeros(params["head_w"].shape, dtype=np.float32))
-    x = batch_of(np.random.default_rng(9), TINY, 3)
-
-    params["head_b"] = Tensor(np.array([0.1, 0.9, 0.2], dtype=np.float32))
-    assert np.array_equal(predict(params, x), np.array([1, 1, 1]))
-
-    params["head_b"] = Tensor(np.array([0.5, 0.5, 0.1], dtype=np.float32))
-    assert np.array_equal(predict(params, x), np.array([0, 0, 0]))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from bcnn.errors import ConsistencyError, DimensionError, NumericError
 from bcnn.tensor import (
     Tensor,
+    _pad,
     concat_channels,
     concat_channels_backward,
     conv2d,
@@ -82,40 +83,36 @@ def test_conv2d_identity_kernel():
 
 def test_conv2d_window_sums():
     x = t(np.arange(1.0, 10.0).reshape(1, 1, 3, 3))
-    w = t(np.ones((1, 1, 2, 2)))
+    w = t(np.ones((1, 1, 3, 3)))
     out, _ = conv2d(x, w, Tensor(np.zeros((1,), dtype=np.float64)))
-    # 1+2+4+5=12, 2+3+5+6=16, 4+5+7+8=24, 5+6+8+9=28
-    assert np.array_equal(out.data[0, 0], np.array([[12.0, 16.0], [24.0, 28.0]]))
+    # 3x3 neighbourhood sums of [[1, 2, 3], [4, 5, 6], [7, 8, 9]], zeros outside:
+    # 1+2+4+5=12, 1+2+3+4+5+6=21, ..., 1+...+9=45, ..., 5+6+8+9=28
+    assert np.array_equal(out.data[0, 0],
+                          np.array([[12.0, 21.0, 16.0], [27.0, 45.0, 33.0], [24.0, 39.0, 28.0]]))
 
 
 def test_conv2d_pad1_preserves_extent():
     x = t(np.random.default_rng(2).random((1, 2, 6, 6)))
     w = t(np.random.default_rng(3).random((4, 2, 3, 3)))
-    out, _ = conv2d(x, w, Tensor(np.zeros((4,), dtype=np.float64)), stride=1, pad=1)
+    out, _ = conv2d(x, w, Tensor(np.zeros((4,), dtype=np.float64)))
     assert out.shape == (1, 4, 6, 6)
-
-
-def test_conv2d_stride_two_window_sums():
-    x = t(np.arange(1.0, 17.0).reshape(1, 1, 4, 4))
-    w = t(np.ones((1, 1, 2, 2)))
-    out, _ = conv2d(x, w, Tensor(np.zeros((1,), dtype=np.float64)), stride=2)
-    # non-overlapping 2x2 sums of 1..16
-    assert np.array_equal(out.data[0, 0], np.array([[14.0, 22.0], [46.0, 54.0]]))
 
 
 def test_conv2d_bias_broadcast():
     x = Tensor(np.zeros((1, 1, 4, 4), dtype=np.float64))
     w = t(np.ones((2, 1, 3, 3)))
-    out, _ = conv2d(x, w, t([0.5, -1.5]), pad=1)
+    out, _ = conv2d(x, w, t([0.5, -1.5]))
     assert np.array_equal(out.data[0, 0], np.full((4, 4), 0.5))
     assert np.array_equal(out.data[0, 1], np.full((4, 4), -1.5))
 
 
-def test_conv2d_kernel_larger_than_padded_input():
+def test_conv2d_rejects_an_even_kernel():
+    # Same padding needs a centre tap; a kernel larger than the input is fine.
     x = t(np.ones((1, 1, 2, 2)))
-    w = t(np.ones((1, 1, 3, 3)))
-    with pytest.raises(DimensionError):
-        conv2d(x, w, Tensor(np.zeros((1,), dtype=np.float64)))
+    conv2d(x, t(np.ones((1, 1, 3, 5))), Tensor(np.zeros((1,), dtype=np.float64)))
+    for kh, kw in ((2, 2), (2, 3), (3, 2), (4, 1)):
+        with pytest.raises(DimensionError):
+            conv2d(x, t(np.ones((1, 1, kh, kw))), Tensor(np.zeros((1,), dtype=np.float64)))
 
 
 # ---------------------------------------------------------------------------
@@ -411,43 +408,30 @@ def weighted_sum_loss(rng, shape):
 # conv2d unrolls the input when C_in <= C_out and the kernel otherwise;
 # each conv gradcheck runs one shape of each kind.
 CONV_CHANNELS = ((2, 3), (5, 2))
+# Odd kernels, square and not; every conv test below runs them on a
+# non-square input.
+CONV_KERNELS = ((1, 1), (3, 3), (3, 1), (1, 3), (5, 3))
 
 
 def test_gradcheck_conv2d_all_arguments():
     rng = np.random.default_rng(20)
-    for c_in, c_out in CONV_CHANNELS:
-        x = t(rng.random((2, c_in, 4, 4)) + 0.1)
-        w = t(rng.standard_normal((c_out, c_in, 3, 3)) * 0.5)
-        bias = t(rng.standard_normal(c_out) * 0.1)
-        out, ctx = conv2d(x, w, bias, stride=1, pad=1)
-        upstream, _ = weighted_sum_loss(rng, out.shape)
-        dx, dw, dbias = conv2d_backward(ctx, upstream)
+    for kh, kw in CONV_KERNELS:
+        for c_in, c_out in CONV_CHANNELS:
+            x = t(rng.random((2, c_in, 5, 4)) + 0.1)
+            w = t(rng.standard_normal((c_out, c_in, kh, kw)) * 0.5)
+            bias = t(rng.standard_normal(c_out) * 0.1)
+            out, ctx = conv2d(x, w, bias)
+            upstream, _ = weighted_sum_loss(rng, out.shape)
+            dx, dw, dbias = conv2d_backward(ctx, upstream)
 
-        def f(_q):
-            o, _ = conv2d(x, w, bias, stride=1, pad=1)
-            return float((o.data * upstream.data).sum())
+            def f(_q):
+                o, _ = conv2d(x, w, bias)
+                return float((o.data * upstream.data).sum())
 
-        assert finite_diff_gradcheck(f, x, dx) < TOL, (c_in, c_out)
-        assert finite_diff_gradcheck(f, w, dw) < TOL, (c_in, c_out)
-        assert finite_diff_gradcheck(f, bias, dbias) < TOL, (c_in, c_out)
-
-
-def test_gradcheck_conv2d_stride_two():
-    rng = np.random.default_rng(21)
-    for c_in, c_out in CONV_CHANNELS:
-        x = t(rng.random((1, c_in, 6, 6)))
-        w = t(rng.standard_normal((c_out, c_in, 2, 2)))
-        bias = t(rng.standard_normal(c_out))
-        out, ctx = conv2d(x, w, bias, stride=2, pad=0)
-        upstream, _ = weighted_sum_loss(rng, out.shape)
-        dx, dw, _ = conv2d_backward(ctx, upstream)
-
-        def f(_q):
-            o, _ = conv2d(x, w, bias, stride=2, pad=0)
-            return float((o.data * upstream.data).sum())
-
-        assert finite_diff_gradcheck(f, x, dx) < TOL, (c_in, c_out)
-        assert finite_diff_gradcheck(f, w, dw) < TOL, (c_in, c_out)
+            case = (kh, kw, c_in, c_out)
+            assert finite_diff_gradcheck(f, x, dx) < TOL, case
+            assert finite_diff_gradcheck(f, w, dw) < TOL, case
+            assert finite_diff_gradcheck(f, bias, dbias) < TOL, case
 
 
 def test_conv2d_backward_without_the_input_gradient():
@@ -455,7 +439,7 @@ def test_conv2d_backward_without_the_input_gradient():
     for c_in, c_out in CONV_CHANNELS:  # im2col, then shift-accumulate
         x = t(rng.standard_normal((2, c_in, 6, 5)))
         out, ctx = conv2d(x, t(rng.standard_normal((c_out, c_in, 3, 3))),
-                          t(rng.standard_normal(c_out)), stride=2, pad=1)
+                          t(rng.standard_normal(c_out)))
         upstream = t(rng.standard_normal(out.shape))
         _, dw, dbias = conv2d_backward(ctx, upstream)
         none, dw_only, dbias_only = conv2d_backward(ctx, upstream, input_grad=False)
@@ -469,15 +453,14 @@ def test_conv2d_paths_agree_for_any_stride_pad_and_kernel():
     # kernels makes it 5->5, which takes the im2col path; the first two
     # output channels and every gradient must agree.
     rng = np.random.default_rng(29)
-    for stride, pad, kh, kw in ((1, 0, 3, 3), (1, 1, 3, 3), (2, 1, 3, 2), (3, 2, 2, 3),
-                                (2, 0, 1, 1)):
+    for kh, kw in CONV_KERNELS:
         x = t(rng.standard_normal((2, 5, 7, 6)))
         w = t(rng.standard_normal((2, 5, kh, kw)))
         bias = t(rng.standard_normal(2))
         wide_w = t(np.concatenate([w.data, np.zeros((3, 5, kh, kw))]))
         wide_b = t(np.concatenate([bias.data, np.zeros(3)]))
-        out, ctx = conv2d(x, w, bias, stride=stride, pad=pad)
-        wide, wide_ctx = conv2d(x, wide_w, wide_b, stride=stride, pad=pad)
+        out, ctx = conv2d(x, w, bias)
+        wide, wide_ctx = conv2d(x, wide_w, wide_b)
         np.testing.assert_allclose(out.data, wide.data[:, :2], rtol=1e-12, atol=1e-12)
 
         upstream = rng.standard_normal(out.shape)
@@ -491,41 +474,35 @@ def test_conv2d_paths_agree_for_any_stride_pad_and_kernel():
 
 
 def test_conv2d_padding_matches_a_pre_padded_input_bit_for_bit():
-    # conv2d's own zero padding and np.pad's both write +0.0, so the
-    # output must carry the bits of the same input padded beforehand.
+    # conv2d's own zero padding and np.pad's both write +0.0 around the
+    # input's own bits, negative zeros included.
     rng = np.random.default_rng(37)
     for dtype in (np.float32, np.float64):
-        for c_in, c_out in CONV_CHANNELS:  # im2col, then shift-accumulate
-            x = rng.standard_normal((2, c_in, 7, 6)).astype(dtype)
-            w = t(rng.standard_normal((c_out, c_in, 3, 3)), dtype)
-            bias = t(rng.standard_normal(c_out), dtype)
-            for pad in range(4):
-                padded = t(np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))), dtype)
-                for stride in (1, 2, 3):
-                    out, _ = conv2d(t(x, dtype), w, bias, stride=stride, pad=pad)
-                    ref, _ = conv2d(padded, w, bias, stride=stride, pad=0)
-                    case = (dtype.__name__, c_in, c_out, pad, stride)
-                    assert out.dtype == dtype, case
-                    assert out.shape == ref.shape, case
-                    assert out.data.tobytes() == ref.data.tobytes(), case
+        x = rng.standard_normal((2, 3, 7, 6)).astype(dtype)
+        x[0, 0, 0, 0] = -0.0
+        for ph, pw in ((0, 0), (1, 1), (1, 0), (0, 1), (2, 1), (3, 3)):
+            ref = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+            out = _pad(x, ph, pw)
+            case = (dtype.__name__, ph, pw)
+            assert out.dtype == dtype and out.shape == ref.shape, case
+            assert out.tobytes() == ref.tobytes(), case
 
 
 def test_conv2d_backward_is_the_adjoint_of_conv2d():
     # With zero bias conv2d is linear in x and in w, so its gradients are
     # adjoints: <conv2d(x), g> == <x, d_x> == <w, d_w>.  The channel pairs
     # run both unfoldings of the forward and of the input-gradient
-    # correlation; pad 2 with a 2-tap kernel drops gradient entries that
-    # see only padding, and stride 2 on 8 rows drops a padded row.
+    # correlation; a 5-tap kernel on 4 rows reaches across the whole
+    # input, padding on both sides.
     rng = np.random.default_rng(31)
-    for stride, pad, kh, kw in ((1, 0, 3, 3), (1, 1, 3, 3), (2, 1, 3, 2), (3, 2, 2, 3),
-                                (2, 0, 1, 1), (2, 1, 3, 3)):
+    for kh, kw in CONV_KERNELS + ((5, 5),):
         for c_in, c_out in ((2, 5), (5, 2), (5, 5)):
-            x = t(rng.standard_normal((2, c_in, 8, 7)))
+            x = t(rng.standard_normal((2, c_in, 4, 7)))
             w = t(rng.standard_normal((c_out, c_in, kh, kw)))
-            out, ctx = conv2d(x, w, t(np.zeros(c_out)), stride=stride, pad=pad)
+            out, ctx = conv2d(x, w, t(np.zeros(c_out)))
             g = rng.standard_normal(out.shape)
             dx, dw, _ = conv2d_backward(ctx, t(g))
-            case = (stride, pad, kh, kw, c_in, c_out)
+            case = (kh, kw, c_in, c_out)
             forward = float((out.data * g).sum())
             assert math.isclose(float((x.data * dx.data).sum()), forward, rel_tol=1e-12), case
             assert math.isclose(float((w.data * dw.data).sum()), forward, rel_tol=1e-12), case
@@ -633,7 +610,7 @@ def test_zero_upstream_gives_zero_gradients_everywhere():
     w = t(rng.standard_normal((2, 2, 3, 3)))
     bias = t(rng.standard_normal(2))
 
-    out, ctx = conv2d(x, w, bias, pad=1)
+    out, ctx = conv2d(x, w, bias)
     for g in conv2d_backward(ctx, Tensor(np.zeros(out.shape, dtype=np.float64))):
         assert float(np.abs(g.data).max()) == 0.0
 
