@@ -265,10 +265,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except BcnnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, MemoryError) as exc:
+    except (BcnnError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

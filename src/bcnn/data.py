@@ -7,6 +7,8 @@ pavement distress patterns this package classifies: fatigue crack
 networks, single linear cracks, and potholes.
 """
 
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,6 +58,21 @@ def _is_int(value):
 def _is_real(value):
     """True for Python and numpy integers and floats other than bool."""
     return isinstance(value, (float, np.floating)) or _is_int(value)
+
+
+# The augmentation rules: angles are any finite float, and scale and
+# brightness factors lie in these ranges.  Finite bounds exclude inf and nan.
+_ANGLES = (-sys.float_info.max, sys.float_info.max)
+_SCALES, _BRIGHTNESS = (0.5, 2.0), (0.25, 4.0)
+
+
+def _finite_float(value, bounds=_ANGLES):
+    """``value`` as a float if it is a real number within ``bounds``, else None."""
+    try:
+        out = float(value) if _is_real(value) else math.nan
+    except OverflowError:
+        return None
+    return out if bounds[0] <= out <= bounds[1] else None
 
 
 def _tuple_of(values, is_kind, kind):
@@ -215,10 +232,11 @@ def rotate(pixels, angle):
     pixels that fall outside the source filled by the image median.  A
     non-numeric or non-finite angle raises :class:`ConfigError`.
     """
-    if not (_is_real(angle) and np.isfinite(angle)):
+    a = _finite_float(angle)
+    if a is None:
         raise ConfigError(f"rotation angle must be a finite number, got {angle!r}")
     pixels = np.asarray(pixels)
-    a = float(angle) % 360.0
+    a %= 360.0
     if a in (0.0, 90.0, 180.0, 270.0):
         return np.ascontiguousarray(np.rot90(pixels, int(a // 90)))
     height, width = pixels.shape
@@ -244,17 +262,17 @@ def scale_image(pixels, factor):
     1.0 returns the input bit for bit.
     """
     pixels = np.asarray(pixels)
-    factor = float(factor)
-    if not 0.5 <= factor <= 2.0:
-        raise ConfigError(f"scale factor must lie in [0.5, 2.0], got {factor}")
-    if factor == 1.0:
+    zoom = _finite_float(factor, _SCALES)
+    if zoom is None:
+        raise ConfigError(f"scale factor must lie in {list(_SCALES)}, got {factor!r}")
+    if zoom == 1.0:
         return pixels.copy()
     height, width = pixels.shape
     cy, cx = (height - 1) / 2.0, (width - 1) / 2.0
     rows = np.arange(height, dtype=np.float64)
     cols = np.arange(width, dtype=np.float64)
-    src_r = np.floor((rows - cy) / factor + cy + 0.5).astype(np.int64).clip(0, height - 1)
-    src_c = np.floor((cols - cx) / factor + cx + 0.5).astype(np.int64).clip(0, width - 1)
+    src_r = np.floor((rows - cy) / zoom + cy + 0.5).astype(np.int64).clip(0, height - 1)
+    src_c = np.floor((cols - cx) / zoom + cx + 0.5).astype(np.int64).clip(0, width - 1)
     return np.ascontiguousarray(pixels[src_r[:, None], src_c[None, :]])
 
 
@@ -262,10 +280,10 @@ def adjust_brightness(pixels, factor):
     """Multiplies intensities by ``factor`` in [0.25, 4.0], rounding half
     up and clamping to [0, 255].  Factor 1.0 returns the input bit for bit."""
     pixels = np.asarray(pixels)
-    factor = float(factor)
-    if not 0.25 <= factor <= 4.0:
-        raise ConfigError(f"brightness factor must lie in [0.25, 4.0], got {factor}")
-    scaled = np.floor(pixels.astype(np.float64) * factor + 0.5)
+    gain = _finite_float(factor, _BRIGHTNESS)
+    if gain is None:
+        raise ConfigError(f"brightness factor must lie in {list(_BRIGHTNESS)}, got {factor!r}")
+    scaled = np.floor(pixels.astype(np.float64) * gain + 0.5)
     return np.clip(scaled, 0, 255).astype(np.uint8)
 
 
@@ -284,20 +302,19 @@ class AugmentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("rotations", "scales", "brightness"):
+        for name, bounds, rule in (
+                ("rotations", _ANGLES, "rotation angles must be finite"),
+                ("scales", _SCALES, f"scale factors must lie in {list(_SCALES)}"),
+                ("brightness", _BRIGHTNESS, f"brightness factors must lie in {list(_BRIGHTNESS)}")):
             given = getattr(self, name)
             values = _tuple_of(given, _is_real, float)
             if values is None:
                 raise ConfigError(f"{name} must be a sequence of numbers, got {given!r}")
+            if not values:
+                raise ConfigError("every augmentation parameter set needs at least one value")
+            if None in (_finite_float(v, bounds) for v in values):
+                raise ConfigError(f"{rule}, got {values}")
             setattr(self, name, values)
-        if not (self.rotations and self.scales and self.brightness):
-            raise ConfigError("every augmentation parameter set needs at least one value")
-        if not all(np.isfinite(self.rotations)):
-            raise ConfigError(f"rotation angles must be finite, got {self.rotations}")
-        if any(not 0.5 <= s <= 2.0 for s in self.scales):
-            raise ConfigError(f"scale factors must lie in [0.5, 2.0], got {self.scales}")
-        if any(not 0.25 <= b <= 4.0 for b in self.brightness):
-            raise ConfigError(f"brightness factors must lie in [0.25, 4.0], got {self.brightness}")
         if not _is_int(self.variants) or self.variants < 0:
             raise ConfigError(f"variants must be a non-negative integer, got {self.variants!r}")
         if not _is_int(self.seed) or self.seed < 0:

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .atomic import write_atomic
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, ConsistencyError, DimensionError
 
 __all__ = [
     "ConfusionMatrix",
@@ -60,7 +60,7 @@ class ConfusionMatrix:
         for arr, kind in ((t, "true"), (p, "predicted")):
             if arr.size and (arr.min() < 0 or arr.max() >= k):
                 bad = int(arr[(arr < 0) | (arr >= k)][0])
-                raise IndexError(f"{kind} label {bad} outside [0, {k})")
+                raise ConsistencyError(f"{kind} label {bad} outside [0, {k})")
         np.add.at(self.matrix, (t, p), 1)
 
 
@@ -170,6 +170,16 @@ def round_display(x, digits=2):
     return math.copysign(math.floor(abs(x) * scale + 0.5), x) / scale
 
 
+def _rows(report):
+    """(label, precision, recall, f1, support) for each class, then the
+    ``macro`` and ``weighted`` averages with the total support."""
+    agg = report.aggregates
+    total = sum(r.support for r in report.per_class)
+    return [(r.name, r.precision, r.recall, r.f1, r.support) for r in report.per_class] + [
+        ("macro", agg.macro_precision, agg.macro_recall, agg.macro_f1, total),
+        ("weighted", agg.weighted_precision, agg.weighted_recall, agg.weighted_f1, total)]
+
+
 def write_report_csv(report, path):
     """Writes the report as CSV with 4-decimal values.
 
@@ -177,35 +187,19 @@ def write_report_csv(report, path):
     class; ``macro`` and ``weighted`` rows carrying their averages with
     total support; a final ``accuracy,,,,<value>`` row.
     """
-    agg = report.aggregates
-    total = sum(r.support for r in report.per_class)
     lines = ["class,precision,recall,f1,support"]
-    for r in report.per_class:
-        lines.append(f"{r.name},{r.precision:.4f},{r.recall:.4f},{r.f1:.4f},{r.support}")
-    lines.append(f"macro,{agg.macro_precision:.4f},{agg.macro_recall:.4f},"
-                 f"{agg.macro_f1:.4f},{total}")
-    lines.append(f"weighted,{agg.weighted_precision:.4f},{agg.weighted_recall:.4f},"
-                 f"{agg.weighted_f1:.4f},{total}")
-    lines.append(f"accuracy,,,,{agg.accuracy:.4f}")
+    lines += [f"{name},{p:.4f},{r:.4f},{f1:.4f},{n}" for name, p, r, f1, n in _rows(report)]
+    lines.append(f"accuracy,,,,{report.aggregates.accuracy:.4f}")
     write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def format_report(report):
     """Two-decimal terminal table (half-away-from-zero rounding)."""
-    agg = report.aggregates
-    total = sum(r.support for r in report.per_class)
-    width = max(8, max(len(r.name) for r in report.per_class), len("weighted"))
+    rows = _rows(report)
+    width = max(len(row[0]) for row in rows)
     fmt = f"{{:<{width}}}  {{:>9}}  {{:>6}}  {{:>6}}  {{:>7}}"
     out = [fmt.format("class", "precision", "recall", "f1", "support")]
-    for r in report.per_class:
-        out.append(fmt.format(r.name, f"{round_display(r.precision):.2f}",
-                              f"{round_display(r.recall):.2f}",
-                              f"{round_display(r.f1):.2f}", r.support))
-    out.append(fmt.format("macro", f"{round_display(agg.macro_precision):.2f}",
-                          f"{round_display(agg.macro_recall):.2f}",
-                          f"{round_display(agg.macro_f1):.2f}", total))
-    out.append(fmt.format("weighted", f"{round_display(agg.weighted_precision):.2f}",
-                          f"{round_display(agg.weighted_recall):.2f}",
-                          f"{round_display(agg.weighted_f1):.2f}", total))
-    out.append(f"accuracy: {round_display(agg.accuracy):.2f}")
+    out += [fmt.format(name, *(f"{round_display(v):.2f}" for v in (p, r, f1)), n)
+            for name, p, r, f1, n in rows]
+    out.append(f"accuracy: {round_display(report.aggregates.accuracy):.2f}")
     return "\n".join(out)

@@ -166,22 +166,16 @@ def _gap_backward(grad, shape):
 def forward(params, batch):
     """Runs the cascade; returns ``(logits, trace)``.
 
-    ``batch`` must be rank 4 with square spatial extents divisible by
-    2^stages, and its channel count must match the first conv kernel.
+    ``batch`` must be rank 4 and square.  Its channel count must match the
+    first conv kernel, and its extents must halve evenly ``stages`` times;
+    the conv and pooling ops check both.
     """
     stages = _stage_count(params)
     if batch.rank != 4:
         raise DimensionError(f"input batch must be rank 4, got rank {batch.rank}")
-    _, c_in, height, width = batch.shape
-    want_c = params["fwd1_w"].shape[1]
-    if c_in != want_c:
-        raise DimensionError(f"input has {c_in} channels but the model expects {want_c}")
+    height, width = batch.shape[2:]
     if height != width:
         raise DimensionError(f"input must be square, got {height}x{width}")
-    divisor = 1 << stages
-    if height < divisor or height % divisor:
-        raise DimensionError(
-            f"input size {height} is not divisible by 2^{stages} = {divisor}")
 
     f_maps, down_ctxs = [], []
     cur = batch
@@ -220,13 +214,9 @@ def backward(params, trace, d_logits):
     Raises :class:`ConsistencyError` if ``trace`` was recorded with a
     differently-shaped parameter set.
     """
-    for name, tensor in params.items():
-        if trace.param_shapes.get(name) != tuple(tensor.shape):
-            raise ConsistencyError(
-                f"trace was recorded for a different parameter set (mismatch at '{name}')")
-    if set(trace.param_shapes) != set(params):
+    if trace.param_shapes != {name: tuple(t.shape) for name, t in params.items()}:
         raise ConsistencyError("trace was recorded for a different parameter set")
-    stages = _stage_count(params)
+    stages = len(trace.down_ctxs)
 
     grads = {}
     d_pooled, d_head_w, d_head_b = dense_backward(trace.head_ctx, d_logits)

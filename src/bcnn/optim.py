@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _finite_float
 from .errors import ConfigError, UpdateError
 from .tensor import Tensor
 
@@ -29,19 +30,27 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
+def _learning_rate(lr):
+    """``lr`` as a float; :class:`ConfigError` unless it is a positive,
+    finite real number."""
+    rate = _finite_float(lr)
+    if rate is None or rate <= 0:
+        raise ConfigError(f"learning rate must be positive and finite, got {lr!r}")
+    return rate
+
+
 def adam_init(params, lr=1e-3):
     """Fresh Adam state with zeroed moments mirroring ``params``."""
-    if not 0 < lr < np.inf:
-        raise ConfigError(f"learning rate must be positive and finite, got {lr}")
-    state = AdamState(lr=float(lr))
+    state = AdamState(lr=_learning_rate(lr))
     for name, p in params.items():
         state.m[name] = Tensor(np.zeros(p.shape, dtype=p.dtype))
         state.v[name] = Tensor(np.zeros(p.shape, dtype=p.dtype))
     return state
 
 
-def _validate_grads(params, grads, mirror=None):
-    """Checks every gradient before anything is mutated."""
+def _validate_grads(params, grads, mirrors=()):
+    """Checks every gradient, and that each dict in ``mirrors`` holds a
+    same-shaped entry per parameter, before anything is mutated."""
     if set(grads) != set(params):
         missing = sorted(set(params) - set(grads))
         extra = sorted(set(grads) - set(params))
@@ -54,7 +63,7 @@ def _validate_grads(params, grads, mirror=None):
                 f"gradient for '{name}' has shape {tuple(g.shape)}, expected {tuple(p.shape)}")
         if not np.isfinite(g.data).all():
             raise UpdateError(f"gradient for '{name}' contains non-finite values")
-        if mirror is not None and (name not in mirror or tuple(mirror[name].shape) != tuple(p.shape)):
+        if any(name not in m or tuple(m[name].shape) != tuple(p.shape) for m in mirrors):
             raise UpdateError(f"optimizer state does not mirror parameter '{name}'")
 
 
@@ -67,8 +76,7 @@ def adam_step(state, params, grads):
     ``-lr * m_hat / (sqrt(v_hat) + eps)``.  Returns ``(state, params)``,
     both updated in place.
     """
-    _validate_grads(params, grads, mirror=state.m)
-    _validate_grads(params, grads, mirror=state.v)
+    _validate_grads(params, grads, mirrors=(state.m, state.v))
     state.t += 1
     bc1 = 1.0 - _BETA1 ** state.t
     bc2 = 1.0 - _BETA2 ** state.t
@@ -88,9 +96,8 @@ def adam_step(state, params, grads):
 
 def sgd_step(params, grads, lr):
     """Plain gradient descent: ``p -= lr * g``, in place."""
-    if not 0 < lr < np.inf:
-        raise ConfigError(f"learning rate must be positive and finite, got {lr}")
+    rate = _learning_rate(lr)
     _validate_grads(params, grads)
     for name, p in params.items():
-        p.data -= lr * grads[name].data
+        p.data -= rate * grads[name].data
     return params

@@ -65,16 +65,10 @@ class Tensor:
 
     def __init__(self, data, dtype=None):
         if dtype is None:
-            if isinstance(data, np.ndarray):
-                if data.dtype not in _ALLOWED_DTYPES:
-                    raise TypeError(
-                        f"tensor arrays must be float32 or float64, got {data.dtype}; "
-                        f"pass dtype= to convert explicitly")
-                dtype = data.dtype
-            else:
-                dtype = np.float32
+            dtype = data.dtype if isinstance(data, np.ndarray) else np.float32
         if np.dtype(dtype) not in _ALLOWED_DTYPES:
-            raise TypeError(f"tensor dtype must be float32 or float64, got {dtype}")
+            raise TypeError(f"tensor dtype must be float32 or float64, got {np.dtype(dtype)}; "
+                            f"pass dtype= to convert an array explicitly")
         # ascontiguousarray promotes 0-d scalars to rank 1; rank-check first
         ndim = np.asarray(data).ndim
         if not 1 <= ndim <= 4:
@@ -417,7 +411,7 @@ def softmax_xent(logits, targets):
         raise DimensionError(f"softmax_xent targets must be integers, got dtype {t.dtype}")
     if t.min() < 0 or t.max() >= classes:
         bad = int(t[(t < 0) | (t >= classes)][0])
-        raise IndexError(f"target label {bad} outside [0, {classes})")
+        raise ConsistencyError(f"target label {bad} outside [0, {classes})")
 
     z = logits.data
     shifted = z - z.max(axis=1, keepdims=True)

@@ -36,7 +36,7 @@ from .errors import (ConfigError, ConsistencyError, CorpusError, FormatError,
                      VersionError)
 from .metrics import ConfusionMatrix, report_from_matrix
 from .model import ModelConfig, backward, build_model, forward, parameter_shapes
-from .optim import adam_init, adam_step, sgd_step
+from .optim import _learning_rate, adam_init, adam_step, sgd_step
 from .tensor import Tensor, softmax_xent
 
 __all__ = [
@@ -71,8 +71,7 @@ class TrainConfig:
             raise ConfigError(f"epochs must be a positive integer, got {self.epochs!r}")
         if not (_is_int(self.batch_size) and self.batch_size >= 1):
             raise ConfigError(f"batch_size must be a positive integer, got {self.batch_size!r}")
-        if not (_is_real(self.lr) and 0 < self.lr < math.inf):
-            raise ConfigError(f"learning rate must be positive and finite, got {self.lr!r}")
+        _learning_rate(self.lr)
         if not (_is_real(self.val_ratio) and 0 < self.val_ratio < 1):
             raise ConfigError(
                 f"val_ratio must lie strictly between 0 and 1, got {self.val_ratio!r}")
@@ -168,9 +167,7 @@ def _sharded_gradients(run, params, x, y):
     rows of the whole batch's ``d_logits``, and the shards' gradients are
     added in shard order.  The traces are freed on return."""
     logits, shards, traces = _sharded_forward(run, params, x)
-    loss, d_logits = softmax_xent(logits, y)
-    if not math.isfinite(loss):
-        raise NumericError(f"non-finite training loss {loss}")
+    _, d_logits = softmax_xent(logits, y)
     parts = run(lambda i: backward(params, traces[i], Tensor(d_logits.data[shards[i]])),
                 range(len(shards)))
     return {name: Tensor(functools.reduce(np.add, (part[name].data for part in parts)))
@@ -186,8 +183,6 @@ def _epoch_metrics(run, params, manifest, batch_size, size, where):
             loss, _ = softmax_xent(logits, y)
         except NumericError as exc:
             raise TrainingError(f"non-finite loss during {where}: {exc}") from exc
-        if not math.isfinite(loss):
-            raise TrainingError(f"non-finite loss during {where}")
         n = len(y)
         total_loss += loss * n
         correct += int((np.argmax(logits.data, axis=1) == y).sum())
@@ -301,91 +296,72 @@ def save_checkpoint(path, checkpoint):
     write_atomic(path, bytes(out))
 
 
-class _Reader:
-    """Cursor over a byte buffer that treats overruns as truncation."""
-
-    def __init__(self, buf):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n):
-        if self.pos + n > len(self.buf):
-            raise IntegrityError(
-                f"checkpoint truncated: wanted {n} bytes at offset {self.pos}, "
-                f"file has {len(self.buf)}")
-        chunk = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u32(self, count=1):
-        values = struct.unpack(f"<{count}I", self.take(4 * count))
-        return values[0] if count == 1 else values
-
-
 def load_checkpoint(path):
-    """Reads a checkpoint and validates it structurally.
+    """Reads a checkpoint and checks each tensor once against its config.
 
-    Bad magic raises :class:`FormatError`, an unsupported version raises
-    :class:`VersionError`, and truncation, undecodable or duplicate tensor
-    names, extents that overrun the file, or shape mismatches raise
+    Each tensor must be one the config names, appear once, and have the
+    config's rank and extents, and the file must end after the last one.
+    Bad magic raises :class:`FormatError`, an unsupported version
+    :class:`VersionError`, and everything else (an invalid config,
+    truncation, an undecodable name, a tensor that breaks the rule)
     :class:`IntegrityError`; no other exception escapes for any file
-    contents.  The returned :class:`Checkpoint` holds exactly what the
-    file stores.
+    contents.  The returned :class:`Checkpoint` holds what the file stores.
     """
-    reader = _Reader(Path(path).read_bytes())
-    magic = reader.take(4)
+    buf = Path(path).read_bytes()
+    pos = 0
+
+    def take(n):
+        nonlocal pos
+        if pos + n > len(buf):
+            raise IntegrityError(
+                f"checkpoint truncated: wanted {n} bytes at offset {pos}, file has {len(buf)}")
+        pos += n
+        return buf[pos - n:pos]
+
+    def u32(count=1):
+        return struct.unpack(f"<{count}I", take(4 * count))
+
+    magic = take(4)
     if magic != CHECKPOINT_MAGIC:
         raise FormatError(f"not a checkpoint file: magic {magic!r}")
-    version = reader.u32()
+    (version,) = u32()
     if version != CHECKPOINT_VERSION:
         raise VersionError(
             f"unsupported checkpoint version {version}; this build reads {CHECKPOINT_VERSION}")
-    input_size = reader.u32()
-    n_stages = reader.u32()
+    input_size, n_stages = u32(2)
     if not 2 <= n_stages <= 64:
         raise IntegrityError(f"implausible stage count {n_stages}")
-    channels = tuple(reader.u32(n_stages))
-    classes = reader.u32()
-    seed = reader.u32()
+    *channels, classes, seed = u32(n_stages + 2)
     try:
-        config = ModelConfig(input_size=input_size, stages=n_stages, channels=channels,
+        config = ModelConfig(input_size=input_size, stages=n_stages, channels=tuple(channels),
                              classes=classes, seed=seed)
     except ConfigError as exc:
         raise IntegrityError(f"checkpoint config is invalid: {exc}") from None
 
-    n_tensors = reader.u32()
+    want = parameter_shapes(config)
+    (n_tensors,) = u32()
+    if n_tensors != len(want):
+        raise IntegrityError(f"checkpoint holds {n_tensors} tensors; its config names {len(want)}")
     params = {}
     for _ in range(n_tensors):
-        name_len = reader.u32()
-        raw_name = reader.take(name_len)
+        (name_len,) = u32()
         try:
-            name = raw_name.decode("utf-8")
+            name = take(name_len).decode("utf-8")
         except UnicodeDecodeError:
             raise IntegrityError(
-                f"tensor name at offset {reader.pos - name_len} is not valid UTF-8") from None
+                f"tensor name at offset {pos - name_len} is not valid UTF-8") from None
         if name in params:
             raise IntegrityError(f"tensor '{name}' appears twice")
-        rank = reader.u32()
-        if not 1 <= rank <= 4:
-            raise IntegrityError(f"tensor '{name}' has implausible rank {rank}")
-        shape = reader.u32(rank)
-        shape = (shape,) if rank == 1 else tuple(shape)
-        count = math.prod(shape)
-        left = len(reader.buf) - reader.pos
-        if not 0 < 4 * count <= left:
+        if name not in want:
+            raise IntegrityError(f"tensor '{name}' is not a parameter of its config")
+        shape = want[name]
+        if u32() != (len(shape),) or u32(len(shape)) != shape:
             raise IntegrityError(
-                f"tensor '{name}' has implausible extents {shape} for the {left} bytes left")
-        payload = reader.take(4 * count)
-        data = np.frombuffer(payload, dtype="<f4").reshape(shape)
+                f"tensor '{name}' does not have its config's rank and extents {shape}")
+        data = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
         params[name] = Tensor(data.astype(np.float32, copy=True))
-    if reader.pos != len(reader.buf):
-        raise IntegrityError(
-            f"checkpoint has {len(reader.buf) - reader.pos} trailing bytes")
-
-    want = parameter_shapes(config)
-    have = {name: tuple(t.shape) for name, t in params.items()}
-    if have != want:
-        raise IntegrityError("checkpoint tensors do not match its config's shapes")
+    if pos != len(buf):
+        raise IntegrityError(f"checkpoint has {len(buf) - pos} trailing bytes")
     return Checkpoint(version=version, config=config, params=params)
 
 

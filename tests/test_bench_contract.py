@@ -4,7 +4,8 @@
 came from and counts its FLOPs from the conv context; ``bench/workloads.py``
 drives ``train()``, ``bcnn predict`` and the corpus functions.  These tests
 run small versions of that traffic under the tracer, so a change that
-breaks the harness fails here before a benchmark runs.  The ``Train``
+breaks the harness, or stops calling a function the tracer patches,
+fails here before a benchmark runs.  The ``Train``
 workload's own checks are left out: its accuracy floor does not hold for
 every benchmark seed.
 """
@@ -44,13 +45,31 @@ def test_every_traced_conv_span_names_its_layer(tracer):
     assert convs == ({f"tensor.conv2d.{c}" for c in tracing.CONVS}
                      | {f"tensor.conv2d_backward.{c}" for c in tracing.CONVS})
     assert tracer.flops > 0
+    assert TRAIN_SPANS <= names
+
+
+# The spans each workload must record: a name the tracer patches that the
+# code stops calling would otherwise read as a silent 0 in its figures.
+FORWARD_OPS = {f"tensor.{op}" for op in tracing.TENSOR_OPS
+               if not op.endswith("_backward") and op != "softmax_xent"}
+TRAIN_SPANS = ({"model.backward", "optim.adam_step", "data.to_batches", "tensor.softmax_xent"}
+               | {f"tensor.{op}" for op in tracing.TENSOR_OPS if op.endswith("_backward")})
+WORKLOAD_SPANS = {
+    "predict": ({"cli.main", "train.load_checkpoint", "netpbm.read_image", "data.resize_nn",
+                 "model.forward"}
+                | {f"tensor.conv2d.{c}" for c in tracing.CONVS} | FORWARD_OPS),
+    "corpus": ({f"data.synth_generate.{c}" for c in tracing.SYNTH_CLASSES}
+               | {"data.label_components", "netpbm.write_pgm", "netpbm.read_image",
+                  "data.augment_dataset"}),
+}
 
 
 @pytest.mark.parametrize("name,ops", [("predict", 8), ("corpus", 3)])
 def test_workload_runs_and_verifies_under_the_tracer(tracer, tmp_path, name, ops):
     workload = workloads.WORKLOADS[name](seed=5, work_dir=tmp_path)
     workload.setup()
+    first = len(tracer.spans)
     for i in range(ops):
         workload.record(i, workload.op(i))
     assert workload.verify() == []
-    assert tracer.spans
+    assert WORKLOAD_SPANS[name] <= {span[0] for span in tracer.spans[first:]}

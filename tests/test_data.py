@@ -323,6 +323,20 @@ def test_scale_rejects_out_of_range_factor():
         scale_image(img, 2.5)
 
 
+def test_transforms_reject_values_that_are_not_finite_reals():
+    # None of these is a real number with a finite float value.
+    img = stamp_image(1)
+    for factor in ("x", None, 10 ** 400, True):
+        with pytest.raises(ConfigError):
+            scale_image(img, factor)
+        with pytest.raises(ConfigError):
+            adjust_brightness(img, factor)
+    with pytest.raises(ConfigError):
+        rotate(img, 10 ** 400)
+    with pytest.raises(ConfigError):
+        AugmentSpec(rotations=(10 ** 400,))
+
+
 # ---------------------------------------------------------------------------
 # adjust_brightness
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bcnn.errors import ConfigError, DimensionError
+from bcnn.errors import ConfigError, ConsistencyError, DimensionError
 from bcnn.metrics import (
     ClassMetrics,
     ConfusionMatrix,
@@ -74,9 +74,9 @@ def test_accumulate_is_associative():
 
 def test_accumulate_validation():
     cm = ConfusionMatrix(["a", "b"])
-    with pytest.raises(IndexError):
+    with pytest.raises(ConsistencyError):
         cm.accumulate(np.array([0, 2]), np.array([0, 0]))
-    with pytest.raises(IndexError):
+    with pytest.raises(ConsistencyError):
         cm.accumulate(np.array([0, 0]), np.array([-1, 0]))
     with pytest.raises(DimensionError):
         cm.accumulate(np.array([0, 1]), np.array([0]))

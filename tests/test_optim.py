@@ -8,6 +8,7 @@ import pytest
 from bcnn.errors import ConfigError, UpdateError
 from bcnn.optim import adam_init, adam_step, sgd_step
 from bcnn.tensor import Tensor
+from bcnn.train import TrainConfig
 
 
 def scalar(value):
@@ -43,6 +44,19 @@ def test_adam_init_rejects_bad_hyperparameters():
         adam_init(params, lr=-1e-3)
     with pytest.raises(ConfigError):
         adam_init(params, lr=math.inf)
+
+
+def test_learning_rate_must_be_a_real_number():
+    # adam_init, sgd_step and TrainConfig share one learning-rate rule.
+    params = scalar(1.0)
+    for lr in ("x", None, True, 10 ** 400, complex(1e-3)):
+        with pytest.raises(ConfigError):
+            adam_init(params, lr=lr)
+        with pytest.raises(ConfigError):
+            sgd_step(params, grad(1.0), lr)
+        with pytest.raises(ConfigError):
+            TrainConfig(lr=lr)
+    assert float(params["w"].data[0]) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +164,18 @@ def test_sgd_update_linear_in_lr():
     da = 1.0 - float(a["w"].data[0])
     db = 1.0 - float(b["w"].data[0])
     assert abs(db - 2.0 * da) < 1e-15
+
+
+def test_sgd_numpy_scalar_lr_matches_python_float():
+    # The rate is used as a Python float, so a float64 scalar does not
+    # promote the float32 update to float64 and round it differently.
+    rng = np.random.default_rng(0)
+    w = rng.standard_normal(1000).astype(np.float32)
+    g = {"w": Tensor(rng.standard_normal(1000).astype(np.float32))}
+    a, b = {"w": Tensor(w.copy())}, {"w": Tensor(w.copy())}
+    sgd_step(a, g, 0.1)
+    sgd_step(b, g, np.float64(0.1))
+    assert a["w"].data.tobytes() == b["w"].data.tobytes()
 
 
 def test_sgd_rejects_bad_lr_and_bad_grads():

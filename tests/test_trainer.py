@@ -441,6 +441,60 @@ def test_checkpoint_rejects_duplicate_tensor_names(tmp_path):
         load_checkpoint(bad)
 
 
+def _encode(tensors, config=MODEL):
+    """Checkpoint bytes in the documented layout for any ``(name, array)`` list."""
+    out = bytearray(CHECKPOINT_MAGIC)
+    out += struct.pack(f"<{3 + config.stages}I", 1, config.input_size, config.stages,
+                       *config.channels)
+    out += struct.pack("<3I", config.classes, config.seed, len(tensors))
+    for name, arr in tensors:
+        out += struct.pack("<I", len(name.encode())) + name.encode()
+        out += struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape)
+        out += arr.astype("<f4").tobytes()
+    return bytes(out)
+
+
+def _model_arrays():
+    return {name: t.data for name, t in build_model(MODEL).items()}
+
+
+def test_encode_matches_save_checkpoint(tmp_path):
+    assert _encode(list(_model_arrays().items())) == _saved_checkpoint(tmp_path)
+
+
+# Each case builds a bad file from the (name, array) pairs of a good one.
+_BAD_FILES = {
+    "unknown name": lambda p: _encode([(n.replace("head_b", "head_c"), a)
+                                       for n, a in p.items()]),
+    "extra rank": lambda p: _encode([(n, a[..., None] if n == "head_b" else a)
+                                     for n, a in p.items()]),
+    "transposed extents": lambda p: _encode([(n, a.T.copy() if n == "head_w" else a)
+                                             for n, a in p.items()]),
+    "missing tensor": lambda p: _encode([(n, a) for n, a in p.items() if n != "refine1_b"]),
+    "extra tensor": lambda p: _encode(list(p.items()) + [("head_c", p["head_b"])]),
+    "ends after the tensor count": lambda p: _encode([])[:-4] + struct.pack("<I", len(p)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_FILES))
+def test_checkpoint_tensors_must_match_the_config_one_by_one(tmp_path, case):
+    path = tmp_path / "bad.bcnn"
+    path.write_bytes(_BAD_FILES[case](_model_arrays()))
+    with pytest.raises(IntegrityError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_from_a_reordered_params_dict_loads_bit_for_bit(tmp_path):
+    params = build_model(MODEL)
+    reordered = dict(reversed(list(params.items())))
+    path = tmp_path / "reordered.bcnn"
+    save_checkpoint(path, Checkpoint(1, MODEL, reordered))
+    loaded = load_checkpoint(path)
+    assert list(loaded.params) == list(reordered)
+    for name, tensor in params.items():
+        assert loaded.params[name].data.tobytes() == tensor.data.tobytes()
+
+
 def test_checkpoint_save_validation(tmp_path):
     params = build_model(MODEL)
     incomplete = dict(params)
