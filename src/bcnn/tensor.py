@@ -3,8 +3,9 @@
 Every primitive returns its output together with an :class:`OpContext`
 holding exactly the values its backward rule needs; there is no autodiff
 graph.  A context holds only arrays the forward pass computes anyway: its
-inputs, its output, or the conv's unfolded input.  ReLU keeps just its
-input and recomputes its mask in backward.  Conventions fixed here and
+inputs or its output.  ReLU keeps just its input and recomputes its mask
+in backward; the conv keeps its input and kernel and rebuilds its im2col
+columns in backward, one image at a time.  Conventions fixed here and
 relied on everywhere else:
 
 - image batches are laid out ``(batch, channels, height, width)``;
@@ -132,27 +133,49 @@ def _pad(x, ph, pw):
     return xp
 
 
-def _correlate(xp, w):
+def _patches(xp, kh, kw):
+    """A view of every ``kh x kw`` patch of a padded batch, laid out
+    ``(B, C, kh, kw, out_h, out_w)``.  Reshaping one image's slice to
+    ``(C*kh*kw, out_h*out_w)`` copies out that image's im2col columns."""
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    return windows.transpose(0, 1, 4, 5, 2, 3)
+
+
+def _correlate(xp, w, rhs=None):
     """Correlates an already padded input with ``w`` at every position the
-    kernel fits, ``(H-kh+1) x (W-kw+1)``; returns the output and its im2col
-    columns, or None for them on the shift-accumulate path."""
+    kernel fits, ``(H-kh+1) x (W-kw+1)``, one image at a time.
+
+    Each image's ``kh*kw``-fold buffer, its im2col columns or its
+    shift-accumulate planes, is built and used at once, while it is still
+    in cache, and the results go into one preallocated output.  With
+    ``rhs`` (B, out_h*out_w, M), which only the im2col path takes, each
+    image's columns are also multiplied by ``rhs[b]``; returns the output
+    and these ``(B, C_in*kh*kw, M)`` products, or None for them.
+    """
     batch, c_in, height, width = xp.shape
     c_out, _, kh, kw = w.shape
     out_h, out_w = height - kh + 1, width - kw + 1
+    out = np.empty((batch, c_out, out_h, out_w), dtype=np.result_type(xp, w))
     if c_in <= c_out:
-        # im2col: (B, C_in*kh*kw, out_h*out_w) patch columns.
-        windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-        cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(batch, c_in * kh * kw, -1)
-        out = np.matmul(w.reshape(c_out, c_in * kh * kw), cols)
-        return out.reshape(batch, c_out, out_h, out_w), cols
+        patches = _patches(xp, kh, kw)
+        w_rows = w.reshape(c_out, c_in * kh * kw)
+        prods = None if rhs is None else np.empty((batch, c_in * kh * kw, rhs.shape[2]),
+                                                  dtype=np.result_type(xp, rhs))
+        for b in range(batch):
+            cols = patches[b].reshape(c_in * kh * kw, -1)
+            np.matmul(w_rows, cols, out=out[b].reshape(c_out, -1))
+            if rhs is not None:
+                np.matmul(cols, rhs[b], out=prods[b])
+        return out, prods
     # Kernel rows (o, i, j) times the input, then tap (i, j)'s shifted window of each plane.
     rows = w.transpose(0, 2, 3, 1).reshape(c_out * kh * kw, c_in)
-    planes = np.matmul(rows, xp.reshape(batch, c_in, -1))
-    planes = planes.reshape(batch, c_out, kh, kw, height, width)
-    taps = [planes[:, :, i, j, i:i + out_h, j:j + out_w] for i in range(kh) for j in range(kw)]
-    out = taps[0].copy()
-    for tap in taps[1:]:
-        out += tap
+    for b in range(batch):
+        planes = np.matmul(rows, xp[b].reshape(c_in, -1)).reshape(c_out, kh, kw, height, width)
+        taps = [planes[:, i, j, i:i + out_h, j:j + out_w] for i in range(kh) for j in range(kw)]
+        acc = out[b]
+        np.copyto(acc, taps[0])
+        for tap in taps[1:]:
+            acc += tap
     return out, None
 
 
@@ -165,12 +188,14 @@ def conv2d(x, w, bias):
     is (B, C_out, H, W).
 
     The GEMM unfolds the narrower side of the layer, chosen from the
-    channel counts alone.  With ``C_in <= C_out`` the input is unrolled
-    into ``C_in*kh*kw`` patch rows (im2col) and multiplied by the kernel.
-    With ``C_in > C_out`` the kernel rows ``(o, i, j)`` multiply the padded
-    input directly and the ``kh*kw`` shifted output planes are summed
-    (shift-accumulate); its context keeps the input instead of a
-    ``kh*kw``-fold column buffer.
+    channel counts alone.  With ``C_in <= C_out`` each image's input is
+    unrolled into ``C_in*kh*kw`` patch rows (im2col) and multiplied by
+    the kernel.  With ``C_in > C_out`` the kernel rows ``(o, i, j)``
+    multiply each padded image directly and the ``kh*kw`` shifted output
+    planes are summed (shift-accumulate).  Either way the
+    ``kh*kw``-fold buffer holds one image and is dropped at once; the
+    context keeps the caller's input array and the kernel, not the
+    columns.
     """
     _require(x.rank == 4, f"conv2d input must be rank 4, got rank {x.rank}")
     _require(w.rank == 4, f"conv2d kernel must be rank 4, got rank {w.rank}")
@@ -183,13 +208,9 @@ def conv2d(x, w, bias):
     _require(bias.shape == (c_out,),
              f"bias shape {bias.shape} does not match {c_out} output channels")
 
-    out, cols = _correlate(_pad(x.data, kh // 2, kw // 2), w.data)
+    out, _ = _correlate(_pad(x.data, kh // 2, kw // 2), w.data)
     out += bias.data[None, :, None, None]
-    saved = {"w": w.data, "x_shape": x.shape}
-    if cols is None:
-        saved["x"] = x.data
-    else:
-        saved["cols"] = cols
+    saved = {"w": w.data, "x": x.data, "x_shape": x.shape}
     return Tensor(out), OpContext("conv2d", saved)
 
 
@@ -201,13 +222,14 @@ def conv2d_backward(ctx, grad_out, input_grad=True):
 
     The input gradient of a same-padded, stride-1 correlation is the same
     correlation of the upstream gradient, run with the kernel flipped and
-    its channels swapped (Dumoulin & Visin 2016).  ``d_kernel`` is the
-    upstream gradient times the saved im2col columns or, on
-    shift-accumulate layers, that correlation's columns times the saved
-    input, with taps flipped.
+    its channels swapped (Dumoulin & Visin 2016).  ``d_kernel`` sums one
+    GEMM per image.  On im2col layers each image's upstream gradient
+    multiplies that image's columns, rebuilt from the saved input; on
+    shift-accumulate layers the input-gradient correlation's columns
+    multiply the saved input, with taps flipped.
     """
     saved = _take(ctx, "conv2d")
-    w = saved["w"]
+    w, x = saved["w"], saved["x"]
     batch, c_in, height, width = saved["x_shape"]
     c_out, _, kh, kw = w.shape
     _require(grad_out.shape == (batch, c_out, height, width),
@@ -216,16 +238,21 @@ def conv2d_backward(ctx, grad_out, input_grad=True):
 
     g = grad_out.data
     d_bias = g.sum(axis=(0, 2, 3))
-    # Shift-accumulate layers take d_w from the input-gradient correlation's columns.
-    if input_grad or "cols" not in saved:
-        d_x, d_cols = _correlate(_pad(g, kh // 2, kw // 2),
-                                 w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    if "cols" in saved:
+    flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    if c_in <= c_out:
+        # im2col layers rebuild each image's columns from the saved input.
+        d_x = _correlate(_pad(g, kh // 2, kw // 2), flipped)[0] if input_grad else None
+        patches = _patches(_pad(x, kh // 2, kw // 2), kh, kw)
         g = g.reshape(batch, c_out, height * width)
-        d_w = np.matmul(g, saved["cols"].transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        parts = np.empty((batch, c_out, c_in * kh * kw), dtype=np.result_type(g, x))
+        for b in range(batch):
+            np.matmul(g[b], patches[b].reshape(c_in * kh * kw, -1).T, out=parts[b])
+        d_w = parts.sum(axis=0).reshape(w.shape)
     else:
-        x = saved["x"].reshape(batch, c_in, -1)
-        d_w = np.matmul(d_cols, x.transpose(0, 2, 1)).sum(axis=0)
+        # Shift-accumulate layers take d_w from the input-gradient correlation's columns.
+        d_x, parts = _correlate(_pad(g, kh // 2, kw // 2), flipped,
+                                rhs=x.reshape(batch, c_in, -1).transpose(0, 2, 1))
+        d_w = parts.sum(axis=0)
         d_w = d_w.reshape(c_out, kh, kw, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
     return (Tensor(d_x) if input_grad else None), Tensor(d_w), Tensor(d_bias)
 

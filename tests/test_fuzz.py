@@ -1,19 +1,28 @@
-"""Fuzzing of the two file parsers: whatever the bytes, only a
-:class:`BcnnError` may escape ``load_checkpoint`` and ``read_image``.
+"""Fuzzing of the two file parsers, the public configs and the CLI.
+
+Whatever the bytes, only a :class:`BcnnError` may escape
+``load_checkpoint`` and ``read_image``; whatever the keyword values, only
+a ``BcnnError`` may escape ``ModelConfig``, ``TrainConfig`` and
+``AugmentSpec``; whatever the argv, ``cli.main`` returns an exit code
+from 0 to 3 and raises nothing.
 
 The examples are derandomized so the suite stays reproducible; each test
-runs 300 of them in about a second.
+runs at most 300 of them in a few seconds.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcnn.cli import main
+from bcnn.data import AugmentSpec
 from bcnn.errors import BcnnError
 from bcnn.model import ModelConfig, build_model
 from bcnn.netpbm import read_image, write_pgm
-from bcnn.train import Checkpoint, load_checkpoint, save_checkpoint
+from bcnn.train import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -100,5 +109,119 @@ def test_read_image_fuzz_mutations_raise_only_bcnn_errors(fuzz_dir):
     def check(data):
         blob = data.draw(mutated(data.draw(st.sampled_from(goods))))
         parses_or_raises_bcnn_error(read_image, fuzz_dir / "mutant.pgm", blob)
+
+    check()
+
+
+# Config keyword values: every kind of Python and numpy scalar, huge and
+# non-finite numbers, strings, and (nested) sequences of them, mixed with
+# values near each field's valid range so the later checks are reached.
+_SCALAR = (st.integers() | st.floats() | st.booleans() | st.none() | st.text(max_size=4)
+           | st.sampled_from((np.int64(3), np.uint8(200), np.float32(0.5), np.float64("nan"),
+                              10 ** 400, -10 ** 400, b"1", 1j, "adam", "sgd")))
+_VALUE = st.recursive(
+    _SCALAR,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.lists(st.floats(), max_size=4).map(np.array)),
+    max_leaves=8)
+_PLAUSIBLE = {
+    "input_size": (8, 60, 64), "stages": (2, 3), "channels": ((2, 3), (16, 32, 64), (0, 4)),
+    "classes": (1, 2, 3), "seed": (0, 7, -1, 2 ** 32),
+    "epochs": (0, 1, 15), "batch_size": (0, 1, 32), "lr": (1e-3, 0.0, -1.0, 10.0),
+    "val_ratio": (0.25, 0.0, 1.0), "optimizer": ("adam", "sgd", "Adam"),
+    "augment": (None, AugmentSpec()), "augment_before_split": (False, True),
+    "rotations": ((90.0,), (), (np.inf,)), "scales": ((0.8, 1.2), (0.1,)),
+    "brightness": ((1.0,), (5.0,)), "variants": (0, 1, 3),
+}
+
+
+@pytest.mark.parametrize("config_class", [ModelConfig, TrainConfig, AugmentSpec])
+def test_config_fuzz_raises_only_bcnn_errors(config_class):
+    keywords = st.fixed_dictionaries({}, optional={
+        field.name: _VALUE | st.sampled_from(_PLAUSIBLE[field.name])
+        for field in dataclasses.fields(config_class)})
+
+    @FUZZ
+    @given(keywords)
+    def check(kwargs):
+        try:
+            config_class(**kwargs)
+        except BcnnError:
+            pass
+
+    check()
+
+
+@pytest.fixture(scope="module")
+def cli_files(fuzz_dir, good_checkpoint):
+    """Paths the argv fuzz draws from: a small corpus, good and broken
+    checkpoints and images, missing paths, and a file where a directory
+    belongs."""
+    assert main(["synth", "--out", str(fuzz_dir / "corpus"), "--per-class", "2",
+                 "--size", "32"]) == 0
+    (fuzz_dir / "ckpt.bcnn").write_bytes(good_checkpoint)
+    (fuzz_dir / "broken.bcnn").write_bytes(good_checkpoint[:40])
+    (fuzz_dir / "junk.txt").write_bytes(b"not an image")
+    write_pgm(fuzz_dir / "image.pgm", np.full((9, 6), 128, dtype=np.uint8))
+    paths = {name: str(fuzz_dir / name) for name in (
+        "corpus", "ckpt.bcnn", "broken.bcnn", "junk.txt", "image.pgm", "missing", "out",
+        "report.csv")}
+    paths["file/out"] = str(fuzz_dir / "junk.txt" / "out")
+    return paths
+
+
+# Option values, mostly ones argparse accepts, so that most examples reach
+# the command itself.
+_INT = st.sampled_from(("1", "2", "0", "3", "1", "2", "-1", "", "x", "1.5"))
+_FLOATS = st.sampled_from(("1", "0.8,1.2", "1.5") * 4 + ("90,180", "nan", "inf", "-1", "1e400",
+                                                         "", ",", "a,b", "0.1", "5"))
+
+
+def _cli_flags(paths, command):
+    """Each option of ``command`` with the strategy for its value."""
+    def pick(valid, *others):
+        return st.sampled_from([paths[valid]] * len(others) + [paths[n] for n in others])
+
+    out = pick("out", "file/out", "junk.txt")
+    corpus = pick("corpus", "missing", "junk.txt", "ckpt.bcnn")
+    checkpoint = pick("ckpt.bcnn", "broken.bcnn", "junk.txt", "missing", "corpus")
+    return {
+        "synth": {"--out": out, "--per-class": _INT,
+                  "--size": st.sampled_from(("32", "40", "31", "0", "-1", "x")), "--seed": _INT},
+        "augment": {"--in": corpus, "--out": out, "--variants": _INT, "--seed": _INT,
+                    "--rotations": _FLOATS, "--scales": _FLOATS, "--brightness": _FLOATS},
+        "eval": {"--data": corpus, "--checkpoint": checkpoint,
+                 "--report": pick("report.csv", "file/out", "corpus")},
+        "predict": {"--image": pick("image.pgm", "junk.txt", "missing", "ckpt.bcnn", "corpus"),
+                    "--checkpoint": checkpoint},
+    }[command]
+
+
+@st.composite
+def argv_for(draw, command, flags):
+    """``command`` with most of its options, in any order; now and then an
+    option is left out, a value is missing, or a stray token follows."""
+    def now_and_then(one_in):
+        return draw(st.sampled_from((False,) * (one_in - 1) + (True,)))
+
+    argv = [command]
+    for flag in draw(st.permutations(sorted(flags))):
+        if not now_and_then(10):
+            argv.append(flag)
+            if not now_and_then(20):
+                argv.append(draw(flags[flag]))
+    if now_and_then(5):
+        argv.append(draw(st.sampled_from(("--bogus", "x", "--", "-1", "--seed", "--out"))))
+    return argv
+
+
+@pytest.mark.parametrize("command", ["synth", "augment", "eval", "predict"])
+def test_cli_fuzz_exits_with_a_documented_code(cli_files, command):
+    flags = _cli_flags(cli_files, command)
+
+    @settings(FUZZ, max_examples=100)
+    @given(argv_for(command, flags))
+    def check(argv):
+        assert main(argv) in (0, 1, 2, 3), argv
 
     check()

@@ -448,6 +448,49 @@ def test_conv2d_backward_without_the_input_gradient():
         assert np.array_equal(dbias_only.data, dbias.data)
 
 
+def test_conv2d_context_keeps_the_input_not_its_columns():
+    # Backward rebuilds the kh*kw-fold columns one image at a time, so on
+    # both paths the context holds the caller's arrays and nothing larger
+    # than the conv's input or output.
+    rng = np.random.default_rng(23)
+    for c_in, c_out in CONV_CHANNELS:  # im2col, then shift-accumulate
+        x = t(rng.standard_normal((3, c_in, 6, 5)))
+        w = t(rng.standard_normal((c_out, c_in, 3, 3)))
+        out, ctx = conv2d(x, w, t(rng.standard_normal(c_out)))
+        assert np.shares_memory(ctx.saved["x"], x.data), (c_in, c_out)
+        assert ctx.saved["w"] is w.data, (c_in, c_out)
+        largest = max(x.data.size, out.data.size)
+        for name, value in ctx.saved.items():
+            assert np.asarray(value).size <= largest, (c_in, c_out, name)
+
+
+def test_conv2d_batch_rows_are_independent_bit_for_bit():
+    # The two-half trainer and the per-image loop inside conv2d both rely
+    # on a batch giving each image's own bits: the output and d_x row for
+    # row, and d_w as the sum of the stacked single-image gradients.
+    rng = np.random.default_rng(24)
+    for dtype in (np.float32, np.float64):
+        for c_in, c_out in CONV_CHANNELS:  # im2col, then shift-accumulate
+            for kh, kw in ((3, 3), (5, 3)):
+                x = rng.standard_normal((5, c_in, 7, 6)).astype(dtype)
+                w = Tensor(rng.standard_normal((c_out, c_in, kh, kw)).astype(dtype))
+                bias = Tensor(rng.standard_normal(c_out).astype(dtype))
+                g = rng.standard_normal((5, c_out, 7, 6)).astype(dtype)
+                out, ctx = conv2d(Tensor(x), w, bias)
+                dx, dw, _ = conv2d_backward(ctx, Tensor(g))
+                singles = []
+                for i in range(5):
+                    one, one_ctx = conv2d(Tensor(x[i:i + 1]), w, bias)
+                    singles.append((one.data,) + conv2d_backward(one_ctx, Tensor(g[i:i + 1]))[:2])
+                case = (dtype.__name__, c_in, c_out, kh, kw)
+                stacked_out = np.concatenate([one for one, _, _ in singles])
+                stacked_dx = np.concatenate([one_dx.data for _, one_dx, _ in singles])
+                summed_dw = np.sum(np.stack([one_dw.data for _, _, one_dw in singles]), axis=0)
+                assert out.data.tobytes() == stacked_out.tobytes(), case
+                assert dx.data.tobytes() == stacked_dx.tobytes(), case
+                assert dw.data.tobytes() == summed_dw.tobytes(), case
+
+
 def test_conv2d_paths_agree_for_any_stride_pad_and_kernel():
     # A 5->2 conv takes the shift-accumulate path.  Appending three zero
     # kernels makes it 5->5, which takes the im2col path; the first two
