@@ -187,8 +187,10 @@ def stratified_split(manifest, train_ratio, seed):
     train side, then remainder items (at most one per class, in ascending
     label order) top the train side up to round(N * ratio).
     """
-    if not 0 < train_ratio < 1:
-        raise ConfigError(f"train_ratio must lie strictly between 0 and 1, got {train_ratio}")
+    if not (_is_real(train_ratio) and 0 < train_ratio < 1):
+        raise ConfigError(f"train_ratio must lie strictly between 0 and 1, got {train_ratio!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     counts = manifest.counts
     for label, n in enumerate(counts):
         if n < 2:
@@ -271,8 +273,10 @@ def scale_image(pixels, factor):
     cy, cx = (height - 1) / 2.0, (width - 1) / 2.0
     rows = np.arange(height, dtype=np.float64)
     cols = np.arange(width, dtype=np.float64)
-    src_r = np.floor((rows - cy) / zoom + cy + 0.5).astype(np.int64).clip(0, height - 1)
-    src_c = np.floor((cols - cx) / zoom + cx + 0.5).astype(np.int64).clip(0, width - 1)
+    src_r = np.floor((rows - cy) / zoom + cy + 0.5).astype(np.int64)
+    src_c = np.floor((cols - cx) / zoom + cx + 0.5).astype(np.int64)
+    src_r = np.minimum(np.maximum(src_r, 0), height - 1)
+    src_c = np.minimum(np.maximum(src_c, 0), width - 1)
     return np.ascontiguousarray(pixels[src_r[:, None], src_c[None, :]])
 
 
@@ -284,7 +288,7 @@ def adjust_brightness(pixels, factor):
     if gain is None:
         raise ConfigError(f"brightness factor must lie in {list(_BRIGHTNESS)}, got {factor!r}")
     scaled = np.floor(pixels.astype(np.float64) * gain + 0.5)
-    return np.clip(scaled, 0, 255).astype(np.uint8)
+    return np.minimum(np.maximum(scaled, 0), 255).astype(np.uint8)
 
 
 @dataclass
@@ -350,41 +354,45 @@ def label_components(mask):
     Returns ``(labels, count)`` with labels 1..count; pixels that touch at
     an edge or a corner share a component.
 
-    Components are numbered in the row-major order of their first pixel:
-    each masked pixel starts with its flat index as its root, and each
-    pass hooks a pixel and its root to the smallest root next to it, then
-    jumps every root to its root's root (Shiloach & Vishkin, 1982), until
-    no pixel has a neighbour with a smaller root.  The 8-neighbour minimum
-    is separable: a minimum over each row of three, then over each column
-    of three of those.  Background pixels hold the background root, one
-    above every flat index; a fixed bound (0 on the mask, that root off
-    it) keeps them there after each minimum.
+    Components are numbered in the row-major order of their first pixel.
+    The mask is labelled by its horizontal runs, not its pixels (He, Chao
+    & Suzuki, 2008).  A run ``[s, e)`` in one row touches a run
+    ``[s', e')`` in the next iff ``s' <= e`` and ``e' >= s``; keyed by row,
+    both bounds of every run's touching range come from one binary search
+    each.  Each run starts as its own root, and each pass hooks every root
+    to the smallest root it is joined to, then jumps every run to its
+    root's root (Shiloach & Vishkin, 1982), until no touching pair joins
+    two roots.  A component's root is then its first run in row-major
+    order, which holds its first pixel.
     """
     mask = np.asarray(mask, dtype=bool)
     height, width = mask.shape
-    flat = mask.ravel()
-    none = height * width  # the background's root; roots[none] == none
-    roots = np.full(none + 1, none, dtype=np.intp)
-    roots[:-1][flat] = np.flatnonzero(flat)
-    bound = np.where(flat, 0, none)
-    padded = np.full((height + 2, width + 2), none, dtype=np.intp)
-    rows = np.empty((height + 2, width), dtype=np.intp)  # minima of each row of three
+    rows, cols = np.diff(mask, axis=1, prepend=False, append=False).nonzero()
+    # Run bounds lie in 0..width, so keys row * (width + 1) + bound sort in
+    # row-major order, and adding width + 1 moves a bound to the next row.
+    row_key = rows[0::2] * (width + 1)
+    starts, ends = row_key + cols[0::2], row_key + cols[1::2]
+    first = np.searchsorted(ends, starts + (width + 1))  # the next row's runs from here ...
+    past = np.searchsorted(starts, ends + (width + 1), "right")  # ... up to here touch
+    touching = past - first
+    upper = np.repeat(np.arange(starts.size), touching)
+    lower = np.arange(upper.size) + np.repeat(first - np.cumsum(touching) + touching, touching)
+    roots = np.arange(starts.size)
     while True:
-        padded[1:-1, 1:-1] = roots[:-1].reshape(height, width)
-        np.minimum(padded[:, :-2], padded[:, 1:-1], out=rows)
-        np.minimum(rows, padded[:, 2:], out=rows)
-        low = np.minimum(rows[:-2], rows[1:-1])
-        np.minimum(low, rows[2:], out=low)
-        low = np.maximum(low.ravel(), bound)
-        if np.array_equal(low, roots[:-1]):
+        a, b = roots[upper], roots[lower]
+        apart = a != b
+        if not apart.any():
             break
-        np.minimum.at(roots, roots[:-1].copy(), low)
-        np.minimum(roots[:-1], low, out=roots[:-1])
-        roots = roots[roots]
-    first, numbered = np.unique(roots[:-1][flat], return_inverse=True)
+        np.minimum.at(roots, np.maximum(a, b)[apart], np.minimum(a, b)[apart])
+        while True:
+            jumped = roots[roots]
+            if np.array_equal(jumped, roots):
+                break
+            roots = jumped
+    component, numbered = np.unique(roots, return_inverse=True)
     labels = np.zeros((height, width), dtype=np.int32)
-    labels[mask] = numbered + 1
-    return labels, len(first)
+    labels[mask] = np.repeat(numbered + 1, ends - starts)
+    return labels, component.size
 
 
 def _draw_background(size, rng):
@@ -392,40 +400,50 @@ def _draw_background(size, rng):
     coarse = rng.integers(150, 211, size=(coarse_n, coarse_n))
     canvas = coarse.repeat(8, axis=0).repeat(8, axis=1)[:size, :size]
     canvas = canvas + rng.integers(-12, 13, size=(size, size))
-    return np.clip(canvas, 140, 225).astype(np.uint8)
+    return np.minimum(np.maximum(canvas, 140), 225).astype(np.uint8)
 
 
 def _darkness(size, rng):
     base = rng.integers(40, 86)
-    return np.clip(base + rng.integers(-10, 11, size=(size, size)), 30, 110).astype(np.uint8)
+    spread = base + rng.integers(-10, 11, size=(size, size))
+    return np.minimum(np.maximum(spread, 30), 110).astype(np.uint8)
 
 
-def _stamp_polyline(canvas, dark, anchors, width):
-    """Draws a polyline through integer anchor points with a square brush.
+def _stamp_polyline(canvas, dark, polylines, width):
+    """Draws polylines through integer anchor points with a square brush.
 
-    Each segment is sampled at ``2 * max(|dr|, |dc|) + 1`` evenly spaced
-    points, rounded half up.  Every brush pixel of every point is written
-    in one assignment; a pixel met twice takes the same ``dark`` value
-    either way.
+    Each segment is sampled at ``n = 2 * max(|dr|, |dc|) + 1`` evenly
+    spaced points, rounded half up.  Every segment of every polyline is
+    sampled at once, with ``np.linspace(0.0, 1.0, n)``'s own arithmetic:
+    point k is at ``k * (1.0 / (n - 1))`` and the last one at 1.0.  Every
+    brush pixel of every point is written in one assignment; a pixel met
+    twice takes the same ``dark`` value either way.
     """
     offsets = np.array({1: (0,), 2: (0, 1), 3: (-1, 0, 1)}[width])
     size = canvas.shape[0]
-    rows, cols = [], []
-    for (r0, c0), (r1, c1) in zip(anchors[:-1], anchors[1:]):
-        ts = np.linspace(0.0, 1.0, 2 * max(abs(r1 - r0), abs(c1 - c0)) + 1)
-        rows.append(r0 + (r1 - r0) * ts)
-        cols.append(c0 + (c1 - c0) * ts)
-    rr = np.floor(np.concatenate(rows) + 0.5).astype(np.int64)
-    cc = np.floor(np.concatenate(cols) + 0.5).astype(np.int64)
-    r = np.clip(rr[:, None, None] + offsets[:, None], 0, size - 1)
-    c = np.clip(cc[:, None, None] + offsets, 0, size - 1)
+    anchors = [np.asarray(line) for line in polylines]
+    start = np.concatenate([line[:-1] for line in anchors])
+    delta = np.concatenate([line[1:] for line in anchors]) - start
+    steps = 2 * np.abs(delta).max(axis=1) + 1
+    last = np.cumsum(steps) - 1
+    segment = np.repeat(np.arange(steps.size), steps)
+    k = np.arange(last[-1] + 1) - (last + 1 - steps)[segment]
+    ts = k * (1.0 / np.maximum(steps - 1, 1))[segment]
+    ts[last] = 1.0  # a one-point segment has delta 0, so its t is moot
+    points = np.floor(start[segment] + delta[segment] * ts[:, None] + 0.5).astype(np.int64)
+    r = np.minimum(np.maximum(points[:, 0, None, None] + offsets[:, None], 0), size - 1)
+    c = np.minimum(np.maximum(points[:, 1, None, None] + offsets, 0), size - 1)
     canvas[r, c] = dark[r, c]
 
 
 def _span_anchors(size, base, amp, rng, vertical):
-    """Five anchor points running border to border, jittered crosswise."""
-    along = np.floor(np.linspace(0, size - 1, 5) + 0.5).astype(np.int64)
-    across = np.clip(base + rng.integers(-amp, amp + 1, size=5), 0, size - 1)
+    """Five anchor points running border to border, jittered crosswise.
+
+    The points along are ``np.linspace(0, size - 1, 5)`` rounded half up,
+    in integers: quarters are exact in binary floating point.
+    """
+    along = (np.arange(5) * (size - 1) + 2) // 4
+    across = np.minimum(np.maximum(base + rng.integers(-amp, amp + 1, size=5), 0), size - 1)
     if vertical:
         return list(zip(along, across))
     return list(zip(across, along))
@@ -438,7 +456,7 @@ def _draw_linear(size, rng):
     vertical = bool(rng.integers(2))
     base = int(rng.integers(size // 4, 3 * size // 4 + 1))
     anchors = _span_anchors(size, base, max(2, size // 10), rng, vertical)
-    _stamp_polyline(canvas, dark, anchors, width)
+    _stamp_polyline(canvas, dark, [anchors], width)
     return canvas
 
 
@@ -449,12 +467,12 @@ def _draw_fatigue(size, rng):
     n_vert = int(rng.integers(2, total - 1))
     n_horiz = total - n_vert
     amp = max(1, size // 16)
-    for i in range(n_vert):
-        base = int(round((i + 1) * (size - 1) / (n_vert + 1)))
-        _stamp_polyline(canvas, dark, _span_anchors(size, base, amp, rng, True), 1)
-    for i in range(n_horiz):
-        base = int(round((i + 1) * (size - 1) / (n_horiz + 1)))
-        _stamp_polyline(canvas, dark, _span_anchors(size, base, amp, rng, False), 1)
+    polylines = []
+    for n, vertical in ((n_vert, True), (n_horiz, False)):
+        for i in range(n):
+            base = int(round((i + 1) * (size - 1) / (n + 1)))
+            polylines.append(_span_anchors(size, base, amp, rng, vertical))
+    _stamp_polyline(canvas, dark, polylines, 1)
     return canvas
 
 
@@ -536,7 +554,7 @@ def synth_generate(class_name, size, seed):
     stream on the rare miss, so returned images always carry their label's
     structure.
     """
-    if class_name not in CLASS_NAMES:
+    if not (isinstance(class_name, str) and class_name in CLASS_NAMES):
         raise ConfigError(f"unknown class {class_name!r}; expected one of {CLASS_NAMES}")
     if not (_is_int(size) and size >= 32):
         raise ConfigError(f"synthetic images must be at least 32x32, got size {size!r}")
@@ -558,6 +576,8 @@ def synth_generate(class_name, size, seed):
 
 def resize_nn(pixels, size):
     """Nearest-neighbour resample of a (H, W) array to (size, size)."""
+    if not (_is_int(size) and size >= 1):
+        raise ConfigError(f"size must be a positive integer, got {size!r}")
     pixels = np.asarray(pixels)
     height, width = pixels.shape
     if (height, width) == (size, size):
@@ -572,11 +592,16 @@ def to_batches(manifest, batch_size, shuffle_seed=None, size=None):
 
     Pixel values are scaled to [0, 1] float32 with a single channel axis;
     items are optionally resized to ``size`` x ``size`` and shuffled by
-    ``shuffle_seed`` (None keeps manifest order).  The final batch may be
-    short.
+    ``shuffle_seed``, a non-negative integer or a sequence of them (None
+    keeps manifest order).  The final batch may be short.
     """
     if not (_is_int(batch_size) and batch_size >= 1):
         raise ConfigError(f"batch_size must be a positive integer, got {batch_size!r}")
+    if shuffle_seed is not None:
+        seeds = (shuffle_seed,) if _is_int(shuffle_seed) else _tuple_of(shuffle_seed, _is_int, int)
+        if seeds is None or any(v < 0 for v in seeds):
+            raise ConfigError(f"shuffle_seed must be None, a non-negative integer or a sequence "
+                              f"of them, got {shuffle_seed!r}")
     if not manifest.items:
         raise CorpusError("cannot batch an empty manifest")
     n_classes = len(manifest.class_names)

@@ -8,6 +8,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from bcnn.data import (
@@ -235,6 +237,9 @@ def test_split_validation():
         stratified_split(manifest, 1.0, seed=0)
     with pytest.raises(CorpusError):
         stratified_split(make_manifest([4, 1]), 0.75, seed=0)
+    for ratio, seed in (("0.5", 0), (None, 0), (0.5, -1), (0.5, 1.5), (0.5, None), (0.5, True)):
+        with pytest.raises(ConfigError):
+            stratified_split(manifest, ratio, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +570,35 @@ def test_label_components_agrees_with_scipy():
         assert np.array_equal(mine, theirs)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 48), st.integers(1, 48), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_label_components_equals_scipy_on_any_mask(height, width, density, seed):
+    mask = np.random.default_rng(seed).random((height, width)) < density
+    mine, mine_count = label_components(mask)
+    theirs, theirs_count = ndimage.label(mask, structure=EIGHT)
+    assert mine_count == theirs_count
+    assert np.array_equal(mine, theirs)
+
+
+def test_label_components_named_masks():
+    checkerboard = np.indices((9, 12)).sum(axis=0) % 2 == 0  # joined at corners only
+    row = np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1]], dtype=bool)
+    cases = {
+        "empty": (np.zeros((5, 7), dtype=bool), 0),
+        "full": (np.ones((5, 7), dtype=bool), 1),
+        "1xN": (row, 4),
+        "Nx1": (row.T, 4),
+        "1x1": (np.ones((1, 1), dtype=bool), 1),
+        "checkerboard": (checkerboard, 1),
+        "anti-checkerboard": (~checkerboard, 1),
+    }
+    for name, (mask, count) in cases.items():
+        labels, got = label_components(mask)
+        assert got == count, name
+        assert labels.dtype == np.int32 and labels.shape == mask.shape, name
+        assert np.array_equal(labels, ndimage.label(mask, structure=EIGHT)[0]), name
+
+
 def stamp_polyline_loop(canvas, dark, anchors, width):
     """Stamps one segment and one brush offset at a time, as the generator
     once did: the reference for ``_stamp_polyline``."""
@@ -601,8 +635,30 @@ def test_stamp_polyline_matches_the_segment_loop():
             dark = _darkness(size, rng)
             want = canvas.copy()
             stamp_polyline_loop(want, dark, anchors, width)
-            _stamp_polyline(canvas, dark, anchors, width)
+            _stamp_polyline(canvas, dark, [anchors], width)
             assert np.array_equal(canvas, want), (size, anchors, width)
+
+
+def test_stamp_of_several_polylines_matches_stamping_each_in_turn():
+    # A fatigue web's crossing polylines in one call, plus polylines of two
+    # to five arbitrary anchors, repeats and zero-length segments included.
+    rng = np.random.default_rng(15)
+    for size in (32, 64, 96):
+        amp = max(1, size // 16)
+        webs = [[_span_anchors(size, base, amp, rng, vertical)
+                 for base in (0, size // 3, 2 * size // 3, size - 1)
+                 for vertical in (True, False)]]
+        webs += [[[tuple(p) for p in rng.integers(0, size, size=(n, 2))] for n in (2, 3, 5)]
+                 + [[(0, 0), (0, 0), (size - 1, 0)]] for _ in range(3)]
+        for polylines in webs:
+            for width in (1, 2, 3):
+                canvas = _draw_background(size, rng)
+                dark = _darkness(size, rng)
+                want = canvas.copy()
+                for anchors in polylines:
+                    stamp_polyline_loop(want, dark, anchors, width)
+                _stamp_polyline(canvas, dark, polylines, width)
+                assert np.array_equal(canvas, want), (size, polylines, width)
 
 
 def test_euler_number_counts_the_enclosed_cells():
@@ -719,6 +775,12 @@ def test_to_batches_validation():
         to_batches(manifest, True)
     with pytest.raises(CorpusError):
         to_batches(DatasetManifest(["a"], []), 2)
+    for size in (32.5, "32", 0, -1, True):
+        with pytest.raises(ConfigError):
+            to_batches(manifest, 2, size=size)
+    for shuffle_seed in (-1, 1.5, "1", (3, -1), (3, 1.0), True):
+        with pytest.raises(ConfigError):
+            to_batches(manifest, 2, shuffle_seed=shuffle_seed)
     manifest.items[0].label = 7
     with pytest.raises(ConsistencyError):
         to_batches(manifest, 2)
@@ -730,6 +792,9 @@ def test_resize_nn_identity_and_downsample():
     small = resize_nn(img, 4)
     assert small.shape == (4, 4)
     assert set(np.unique(small)) <= set(np.unique(img))
+    for size in (4.0, "4", 0, None):
+        with pytest.raises(ConfigError):
+            resize_nn(img, size)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Whatever the bytes, only a :class:`BcnnError` may escape
 ``load_checkpoint`` and ``read_image``; whatever the keyword values, only
-a ``BcnnError`` may escape ``ModelConfig``, ``TrainConfig`` and
-``AugmentSpec``; whatever the argv, ``cli.main`` returns an exit code
+a ``BcnnError`` may escape ``ModelConfig``, ``TrainConfig``,
+``AugmentSpec``, ``synth_generate``, ``to_batches`` and
+``stratified_split``; whatever the argv, ``cli.main`` returns an exit code
 from 0 to 3 and raises nothing.
 
 The examples are derandomized so the suite stays reproducible; each test
@@ -18,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcnn.cli import main
-from bcnn.data import AugmentSpec
+from bcnn.data import (CLASS_NAMES, AugmentSpec, DatasetManifest, LabeledImage, stratified_split,
+                       synth_generate, to_batches)
 from bcnn.errors import BcnnError
 from bcnn.model import ModelConfig, build_model
 from bcnn.netpbm import read_image, write_pgm
@@ -146,6 +148,51 @@ def test_config_fuzz_raises_only_bcnn_errors(config_class):
     def check(kwargs):
         try:
             config_class(**kwargs)
+        except BcnnError:
+            pass
+
+    check()
+
+
+def at_most(limit):
+    """Keeps any value but a real number above ``limit``: a bound on the
+    image size one example may ask for, whether or not the code under test
+    accepts that number."""
+    return lambda value: not (isinstance(value, (int, float, np.integer, np.floating))
+                              and value > limit)
+
+
+# Images of six heights, so that batching without a size must fail.
+_MANIFEST = DatasetManifest(["a", "b"], [
+    LabeledImage(np.random.default_rng(i).integers(0, 256, (8 + i, 8), dtype=np.uint8), i % 2)
+    for i in range(6)])
+
+
+_SEEDS = _VALUE | st.sampled_from(_PLAUSIBLE["seed"])
+_DATA_CALLS = {
+    "synth_generate": (synth_generate, {
+        "class_name": _VALUE | st.sampled_from(CLASS_NAMES + ("rutting", "Linear")),
+        "size": (_VALUE | st.sampled_from((32, 40, 96, 31, 0, -1))).filter(at_most(96)),
+        "seed": _SEEDS}),
+    "to_batches": (lambda **kw: to_batches(_MANIFEST, **kw), {
+        "batch_size": _VALUE | st.sampled_from(_PLAUSIBLE["batch_size"]),
+        "shuffle_seed": _VALUE | st.sampled_from((None, 0, 7, -1, (3, 1), (3, -1))),
+        "size": (_VALUE | st.sampled_from((None, 8, 16, 64, 0, -1))).filter(at_most(64))}),
+    "stratified_split": (lambda **kw: stratified_split(_MANIFEST, **kw), {
+        "train_ratio": _VALUE | st.sampled_from((0.5, 0.25, np.float32(0.75), 0.0, 1.0)),
+        "seed": _SEEDS}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DATA_CALLS))
+def test_data_call_fuzz_raises_only_bcnn_errors(name):
+    call, keywords = _DATA_CALLS[name]
+
+    @FUZZ
+    @given(st.fixed_dictionaries(keywords))
+    def check(kwargs):
+        try:
+            call(**kwargs)
         except BcnnError:
             pass
 
