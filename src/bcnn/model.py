@@ -85,12 +85,16 @@ class ModelConfig:
 class ForwardTrace:
     """Exactly what ``backward`` reads, captured in application order.
 
-    ``down_ctxs[k-1]`` holds stage k's ``(conv, pool, relu)`` contexts
-    (k = 1..K) and ``up_ctxs[k-1]`` the ``(upsample, concat, conv, relu)``
+    ``down_ctxs[k-1]`` lists stage k's ``[conv, pool, relu]`` contexts
+    (k = 1..K) and ``up_ctxs[k-1]`` the ``[upsample, concat, conv, relu]``
     contexts of the refinement that produces B_k (k = 1..K-1).  The maps
     themselves are not kept: F_k and B_k have the shapes of the inputs
     saved by the ReLU contexts of ``fwd{k}`` and ``refine{k}``.
     ``param_shapes`` records the parameter set the pass ran with.
+
+    ``backward`` pops each context once it has used it and sets
+    ``head_ctx`` to None, so its arrays are freed during the pass; a
+    trace serves exactly one backward.
     """
 
     down_ctxs: list
@@ -184,16 +188,17 @@ def forward(params, batch):
         pooled, pool_ctx = maxpool2(conv_out)
         cur, relu_ctx = relu(pooled)
         f_maps.append(cur)
-        down_ctxs.append((conv_ctx, pool_ctx, relu_ctx))
+        down_ctxs.append([conv_ctx, pool_ctx, relu_ctx])
 
     up_ctxs = [None] * (stages - 1)
     coarse = f_maps[-1]
     for k in range(stages - 1, 0, -1):
         up, up_ctx = upsample2(coarse)
         fused, cat_ctx = concat_channels(f_maps[k - 1], up)
+        del up  # the conv below reads only its copy in ``fused``
         conv_out, conv_ctx = conv2d(fused, params[f"refine{k}_w"], params[f"refine{k}_b"])
         coarse, relu_ctx = relu(conv_out)
-        up_ctxs[k - 1] = (up_ctx, cat_ctx, conv_ctx, relu_ctx)
+        up_ctxs[k - 1] = [up_ctx, cat_ctx, conv_ctx, relu_ctx]
 
     # ``coarse`` is now B_1.
     pooled_vec = Tensor(np.concatenate([_gap(coarse), _gap(f_maps[-1])], axis=1))
@@ -211,21 +216,28 @@ def backward(params, trace, d_logits):
     """Gradient of the traced forward pass for every parameter.
 
     Returns a dict with exactly the parameter names, shape for shape.
-    Raises :class:`ConsistencyError` if ``trace`` was recorded with a
-    differently-shaped parameter set.
+    Each context leaves ``trace`` as its backward rule runs, and each
+    upstream gradient is dropped once consumed, so the saved arrays are
+    freed while the pass goes on and the trace holds no arrays afterwards.
+    A trace therefore serves exactly one backward.  Raises
+    :class:`ConsistencyError` if ``trace`` was recorded with a
+    differently-shaped parameter set or a backward has already used it.
     """
     if trace.param_shapes != {name: tuple(t.shape) for name, t in params.items()}:
         raise ConsistencyError("trace was recorded for a different parameter set")
+    if trace.head_ctx is None:
+        raise ConsistencyError("trace was already used by a backward pass, which frees it; "
+                               "run forward again")
     stages = len(trace.down_ctxs)
-
-    grads = {}
-    d_pooled, d_head_w, d_head_b = dense_backward(trace.head_ctx, d_logits)
-    grads["head_w"], grads["head_b"] = d_head_w, d_head_b
 
     # The head pooled B_1 and F_K, the outputs of the ReLUs of refine1
     # and fwd{K}; each has the shape of its ReLU's saved input.
     fine_shape = trace.up_ctxs[0][-1].saved["x"].shape
     coarse_shape = trace.down_ctxs[-1][-1].saved["x"].shape
+
+    grads = {}
+    d_pooled, grads["head_w"], grads["head_b"] = dense_backward(trace.head_ctx, d_logits)
+    trace.head_ctx = None
     d_gap_fine = d_pooled.data[:, :fine_shape[1]]
     d_gap_coarse = d_pooled.data[:, fine_shape[1]:]
 
@@ -234,16 +246,20 @@ def backward(params, trace, d_logits):
 
     # Top-down stream in reverse application order: refine stage 1 ran
     # last, so its backward runs first; each upsample2 backward hands the
-    # gradient to the next coarser B.
+    # gradient to the next coarser B.  Each stage's contexts are popped
+    # in reverse, so each is freed as soon as its rule returns.
     d_b = _gap_backward(d_gap_fine, fine_shape)
     for k in range(1, stages):
-        up_ctx, cat_ctx, conv_ctx, relu_ctx = trace.up_ctxs[k - 1]
-        d_conv = relu_backward(relu_ctx, Tensor(d_b))
-        d_fused, d_w, d_bias = conv2d_backward(conv_ctx, d_conv)
+        ctxs = trace.up_ctxs[k - 1]
+        d_conv = relu_backward(ctxs.pop(), Tensor(d_b))
+        del d_b
+        d_fused, d_w, d_bias = conv2d_backward(ctxs.pop(), d_conv)
+        del d_conv
         grads[f"refine{k}_w"], grads[f"refine{k}_b"] = d_w, d_bias
-        d_fk, d_up = concat_channels_backward(cat_ctx, d_fused)
+        d_fk, d_up = concat_channels_backward(ctxs.pop(), d_fused)
+        del d_fused
         d_f[k - 1] = d_fk.data
-        d_b = upsample2_backward(up_ctx, d_up).data
+        d_b = upsample2_backward(ctxs.pop(), d_up).data
 
     # d_b now holds the gradient into B_K = F_K; add the head's GAP path.
     d_f[stages - 1] = d_b + _gap_backward(d_gap_coarse, coarse_shape)
@@ -251,10 +267,12 @@ def backward(params, trace, d_logits):
     # Bottom-up stream in reverse: stage K first, handing d(stage input)
     # down to stage K-1's output accumulator.
     for k in range(stages, 0, -1):
-        conv_ctx, pool_ctx, relu_ctx = trace.down_ctxs[k - 1]
-        d_pooled = relu_backward(relu_ctx, Tensor(d_f[k - 1]))
-        d_conv = maxpool2_backward(pool_ctx, d_pooled)
-        d_input, d_w, d_bias = conv2d_backward(conv_ctx, d_conv, input_grad=k > 1)
+        ctxs = trace.down_ctxs[k - 1]
+        d_pooled = relu_backward(ctxs.pop(), Tensor(d_f[k - 1]))
+        d_f[k - 1] = None
+        d_conv = maxpool2_backward(ctxs.pop(), d_pooled)
+        d_input, d_w, d_bias = conv2d_backward(ctxs.pop(), d_conv, input_grad=k > 1)
+        del d_conv
         grads[f"fwd{k}_w"], grads[f"fwd{k}_b"] = d_w, d_bias
         if k > 1:
             d_f[k - 2] = d_f[k - 2] + d_input.data

@@ -137,8 +137,11 @@ def _patches(xp, kh, kw):
     """A view of every ``kh x kw`` patch of a padded batch, laid out
     ``(B, C, kh, kw, out_h, out_w)``.  Reshaping one image's slice to
     ``(C*kh*kw, out_h*out_w)`` copies out that image's im2col columns."""
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    return windows.transpose(0, 1, 4, 5, 2, 3)
+    batch, chans, height, width = xp.shape
+    s_b, s_c, s_h, s_w = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp, (batch, chans, kh, kw, height - kh + 1, width - kw + 1),
+        (s_b, s_c, s_h, s_w, s_h, s_w), writeable=False)
 
 
 def _correlate(xp, w, rhs=None):
@@ -297,17 +300,20 @@ def maxpool2_backward(ctx, grad_out):
              f"maxpool2 upstream gradient has shape {grad_out.shape}, expected {out.shape}")
     # Each corner's gradient is the upstream value's bit pattern ANDed with
     # all-ones where the corner won and with zeros elsewhere: exactly
-    # where(won, g, +0.0), written in place without a temporary.
+    # where(won, g, +0.0), written in place.  The mask is the int8 negation
+    # of ``won`` (-1 or 0), which the AND sign-extends to the full word.
     bits = np.dtype(f"i{x.itemsize}")
     g_bits = grad_out.data.astype(x.dtype, copy=False).view(bits)
     d_x = np.empty(x.shape, dtype=x.dtype)
     unrouted = np.ones(out.shape, dtype=bool)
     won = np.empty(out.shape, dtype=bool)
+    mask = np.empty(out.shape, dtype=np.int8)
     for di, dj in _CORNERS:
         np.equal(x[:, :, di::2, dj::2], out, out=won)
         won &= unrouted
         unrouted ^= won
-        np.bitwise_and(g_bits, -won.astype(bits), out=d_x[:, :, di::2, dj::2].view(bits))
+        np.negative(won.view(np.int8), out=mask)
+        np.bitwise_and(g_bits, mask, out=d_x[:, :, di::2, dj::2].view(bits))
     return Tensor(d_x)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from bcnn.model import (
     full_model_gradcheck,
     parameter_shapes,
 )
-from bcnn.tensor import Tensor, conv2d_backward
+from bcnn.tensor import Tensor, conv2d_backward, softmax_xent
 
 TINY = ModelConfig(input_size=8, stages=2, channels=(2, 3), classes=3, seed=0)
 
@@ -225,7 +226,8 @@ def test_backward_skips_only_the_first_input_gradient(monkeypatch):
     # gradient bit; backward() leaves out fwd1's alone.
     params = build_model(TINY)
     rng = np.random.default_rng(8)
-    logits, trace = forward(params, batch_of(rng, TINY, 3))
+    x = batch_of(rng, TINY, 3)
+    logits, trace = forward(params, x)
     upstream = Tensor(rng.standard_normal(logits.shape).astype(np.float32))
     grads = backward(params, trace, upstream)
     skipped = []
@@ -235,10 +237,49 @@ def test_backward_skips_only_the_first_input_gradient(monkeypatch):
         return conv2d_backward(ctx, grad_out)
 
     monkeypatch.setattr(bcnn.model, "conv2d_backward", full_backward)
+    _, trace = forward(params, x)  # a trace serves one backward
     full_grads = backward(params, trace, upstream)
     assert skipped == [False, False, True]  # refine1, fwd2, fwd1
     for name in params:
         assert np.array_equal(grads[name].data, full_grads[name].data), name
+
+
+def test_backward_leaves_no_array_in_the_trace():
+    params = build_model(TINY)
+    logits, trace = forward(params, batch_of(np.random.default_rng(9), TINY, 2))
+    assert _held_bytes(trace, set()) > 0
+    backward(params, trace, Tensor(np.ones(logits.shape, dtype=np.float32)))
+    assert _held_bytes(trace, set()) == 0
+
+
+def test_backward_refuses_a_used_trace():
+    params = build_model(TINY)
+    logits, trace = forward(params, batch_of(np.random.default_rng(9), TINY, 2))
+    upstream = Tensor(np.ones(logits.shape, dtype=np.float32))
+    backward(params, trace, upstream)
+    with pytest.raises(ConsistencyError, match="already used"):
+        backward(params, trace, upstream)
+
+
+def test_backward_peak_memory_of_a_default_half_stays_under_26_mib():
+    # Backward starts from the 16 MiB trace of 16 default-size images.
+    # Holding every context until it returned peaked at 31 MiB above the
+    # caller's arrays; freeing each one once used peaks near 22 MiB.
+    config = ModelConfig()
+    params = build_model(config)
+    rng = np.random.default_rng(10)
+    x = batch_of(rng, config, 16)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        logits, trace = forward(params, x)
+        _, d_logits = softmax_xent(logits, rng.integers(0, config.classes, size=16))
+        tracemalloc.reset_peak()
+        backward(params, trace, d_logits)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26 * 2 ** 20
 
 
 def test_backward_rejects_foreign_trace():
