@@ -267,8 +267,6 @@ def scale_image(pixels, factor):
     zoom = _finite_float(factor, _SCALES)
     if zoom is None:
         raise ConfigError(f"scale factor must lie in {list(_SCALES)}, got {factor!r}")
-    if zoom == 1.0:
-        return pixels.copy()
     height, width = pixels.shape
     cy, cx = (height - 1) / 2.0, (width - 1) / 2.0
     rows = np.arange(height, dtype=np.float64)

@@ -28,8 +28,7 @@ from .errors import ConfigError, ConsistencyError, DimensionError, NumericError
 from .tensor import (OpContext, Tensor, concat_channels, concat_channels_backward,
                      conv2d, conv2d_backward, dense, dense_backward,
                      finite_diff_gradcheck, maxpool2, maxpool2_backward,
-                     relu, relu_backward, softmax_xent, upsample2,
-                     upsample2_backward)
+                     relu, relu_backward, upsample2, upsample2_backward)
 
 __all__ = [
     "ModelConfig",
@@ -38,6 +37,7 @@ __all__ = [
     "build_model",
     "forward",
     "backward",
+    "softmax_xent",
     "full_model_gradcheck",
 ]
 
@@ -147,17 +147,18 @@ def build_model(config, dtype=np.float32):
 
 
 def _stage_count(params):
-    k = 0
+    """The K of the K-stage cascade (K >= 2) that ``params`` describes; every
+    tensor of it must be present."""
+    k = 2
     while f"fwd{k + 1}_w" in params:
         k += 1
-    if k < 2 or "head_w" not in params:
-        raise ConsistencyError("parameter set does not describe a cascade (missing tensors)")
+    names = [f"{kind}{i}_{part}" for kind, n in (("fwd", k), ("refine", k - 1))
+             for i in range(1, n + 1) for part in "wb"] + ["head_w", "head_b"]
+    missing = [name for name in names if name not in params]
+    if missing:
+        raise ConsistencyError(
+            f"parameter set does not describe a cascade (missing {', '.join(missing)})")
     return k
-
-
-def _gap(x):
-    """Global average pool: (B, C, H, W) -> (B, C)."""
-    return x.data.mean(axis=(2, 3))
 
 
 def _gap_backward(grad, shape):
@@ -170,21 +171,22 @@ def _gap_backward(grad, shape):
 def forward(params, batch):
     """Runs the cascade; returns ``(logits, trace)``.
 
-    ``batch`` must be rank 4 and square.  Its channel count must match the
-    first conv kernel, and its extents must halve evenly ``stages`` times;
-    the conv and pooling ops check both.
+    ``batch`` must be a rank-4, square Tensor.  Its channel count must
+    match the first conv kernel, and its extents must halve evenly
+    ``stages`` times; the conv and pooling ops check both.
     """
     stages = _stage_count(params)
-    if batch.rank != 4:
-        raise DimensionError(f"input batch must be rank 4, got rank {batch.rank}")
+    if len(batch.shape) != 4:
+        raise DimensionError(f"input batch must be rank 4, got rank {len(batch.shape)}")
     height, width = batch.shape[2:]
     if height != width:
         raise DimensionError(f"input must be square, got {height}x{width}")
+    p = {name: t.data for name, t in params.items()}
 
     f_maps, down_ctxs = [], []
-    cur = batch
+    cur = batch.data
     for k in range(1, stages + 1):
-        conv_out, conv_ctx = conv2d(cur, params[f"fwd{k}_w"], params[f"fwd{k}_b"])
+        conv_out, conv_ctx = conv2d(cur, p[f"fwd{k}_w"], p[f"fwd{k}_b"])
         pooled, pool_ctx = maxpool2(conv_out)
         cur, relu_ctx = relu(pooled)
         f_maps.append(cur)
@@ -196,20 +198,20 @@ def forward(params, batch):
         up, up_ctx = upsample2(coarse)
         fused, cat_ctx = concat_channels(f_maps[k - 1], up)
         del up  # the conv below reads only its copy in ``fused``
-        conv_out, conv_ctx = conv2d(fused, params[f"refine{k}_w"], params[f"refine{k}_b"])
+        conv_out, conv_ctx = conv2d(fused, p[f"refine{k}_w"], p[f"refine{k}_b"])
         coarse, relu_ctx = relu(conv_out)
         up_ctxs[k - 1] = [up_ctx, cat_ctx, conv_ctx, relu_ctx]
 
-    # ``coarse`` is now B_1.
-    pooled_vec = Tensor(np.concatenate([_gap(coarse), _gap(f_maps[-1])], axis=1))
-    logits, head_ctx = dense(pooled_vec, params["head_w"], params["head_b"])
+    # ``coarse`` is now B_1; the head reads the global average pools of B_1 and F_K.
+    pooled_vec = np.concatenate([coarse.mean(axis=(2, 3)), f_maps[-1].mean(axis=(2, 3))], axis=1)
+    logits, head_ctx = dense(pooled_vec, p["head_w"], p["head_b"])
     trace = ForwardTrace(
         down_ctxs=down_ctxs,
         up_ctxs=up_ctxs,
         head_ctx=head_ctx,
-        param_shapes={name: tuple(t.shape) for name, t in params.items()},
+        param_shapes={name: a.shape for name, a in p.items()},
     )
-    return logits, trace
+    return Tensor(logits), trace
 
 
 def backward(params, trace, d_logits):
@@ -223,7 +225,7 @@ def backward(params, trace, d_logits):
     :class:`ConsistencyError` if ``trace`` was recorded with a
     differently-shaped parameter set or a backward has already used it.
     """
-    if trace.param_shapes != {name: tuple(t.shape) for name, t in params.items()}:
+    if trace.param_shapes != {name: t.shape for name, t in params.items()}:
         raise ConsistencyError("trace was recorded for a different parameter set")
     if trace.head_ctx is None:
         raise ConsistencyError("trace was already used by a backward pass, which frees it; "
@@ -236,10 +238,10 @@ def backward(params, trace, d_logits):
     coarse_shape = trace.down_ctxs[-1][-1].saved["x"].shape
 
     grads = {}
-    d_pooled, grads["head_w"], grads["head_b"] = dense_backward(trace.head_ctx, d_logits)
+    d_pooled, grads["head_w"], grads["head_b"] = dense_backward(trace.head_ctx, d_logits.data)
     trace.head_ctx = None
-    d_gap_fine = d_pooled.data[:, :fine_shape[1]]
-    d_gap_coarse = d_pooled.data[:, fine_shape[1]:]
+    d_gap_fine = d_pooled[:, :fine_shape[1]]
+    d_gap_coarse = d_pooled[:, fine_shape[1]:]
 
     # Accumulators for gradient flowing into each F_k.
     d_f = [None] * stages
@@ -251,15 +253,15 @@ def backward(params, trace, d_logits):
     d_b = _gap_backward(d_gap_fine, fine_shape)
     for k in range(1, stages):
         ctxs = trace.up_ctxs[k - 1]
-        d_conv = relu_backward(ctxs.pop(), Tensor(d_b))
+        d_conv = relu_backward(ctxs.pop(), d_b)
         del d_b
         d_fused, d_w, d_bias = conv2d_backward(ctxs.pop(), d_conv)
         del d_conv
         grads[f"refine{k}_w"], grads[f"refine{k}_b"] = d_w, d_bias
         d_fk, d_up = concat_channels_backward(ctxs.pop(), d_fused)
-        del d_fused
-        d_f[k - 1] = d_fk.data
-        d_b = upsample2_backward(ctxs.pop(), d_up).data
+        d_f[k - 1] = d_fk.copy()  # a view would keep all of d_fused alive
+        d_b = upsample2_backward(ctxs.pop(), d_up)
+        del d_fused, d_fk, d_up
 
     # d_b now holds the gradient into B_K = F_K; add the head's GAP path.
     d_f[stages - 1] = d_b + _gap_backward(d_gap_coarse, coarse_shape)
@@ -268,15 +270,53 @@ def backward(params, trace, d_logits):
     # down to stage K-1's output accumulator.
     for k in range(stages, 0, -1):
         ctxs = trace.down_ctxs[k - 1]
-        d_pooled = relu_backward(ctxs.pop(), Tensor(d_f[k - 1]))
+        d_pooled = relu_backward(ctxs.pop(), d_f[k - 1])
         d_f[k - 1] = None
         d_conv = maxpool2_backward(ctxs.pop(), d_pooled)
         d_input, d_w, d_bias = conv2d_backward(ctxs.pop(), d_conv, input_grad=k > 1)
         del d_conv
         grads[f"fwd{k}_w"], grads[f"fwd{k}_b"] = d_w, d_bias
         if k > 1:
-            d_f[k - 2] = d_f[k - 2] + d_input.data
-    return grads
+            d_f[k - 2] += d_input
+    return {name: Tensor(g) for name, g in grads.items()}
+
+
+def softmax_xent(logits, targets):
+    """Mean softmax cross-entropy over a batch of logits.
+
+    Returns ``(loss, d_logits)`` where ``d_logits`` is a Tensor holding
+    the gradient of the mean loss, i.e. ``(softmax - onehot) / batch``.
+    Probabilities are computed with the max subtracted per row, so large
+    logits do not overflow.
+    """
+    z = logits.data
+    if z.ndim != 2:
+        raise DimensionError(f"softmax_xent logits must be rank 2, got rank {z.ndim}")
+    batch, classes = z.shape
+    if classes < 2:
+        raise DimensionError(f"softmax_xent needs at least 2 classes, got {classes}")
+    t = np.asarray(targets)
+    if t.ndim != 1 or t.shape[0] != batch:
+        raise DimensionError(
+            f"softmax_xent needs one target per row, got {t.shape} for batch {batch}")
+    if not np.issubdtype(t.dtype, np.integer):
+        raise DimensionError(f"softmax_xent targets must be integers, got dtype {t.dtype}")
+    if t.min() < 0 or t.max() >= classes:
+        bad = int(t[(t < 0) | (t >= classes)][0])
+        raise ConsistencyError(f"target label {bad} outside [0, {classes})")
+
+    shifted = z - z.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    denom = exp.sum(axis=1, keepdims=True)
+    log_p = shifted - np.log(denom)
+    rows = np.arange(batch)
+    loss = float(-log_p[rows, t].mean())
+    if not np.isfinite(loss):
+        raise NumericError(f"softmax_xent produced a non-finite loss: {loss}")
+    d_logits = exp / denom
+    d_logits[rows, t] -= 1
+    d_logits /= batch
+    return loss, Tensor(d_logits.astype(z.dtype, copy=False))
 
 
 def _kink_margin(trace):
@@ -352,12 +392,12 @@ def full_model_gradcheck(seed=0):
     _, d_logits = softmax_xent(logits, y)
     grads = backward(params, trace, d_logits)
 
-    def loss_now(_tensor):
+    def loss_now(_array):
         out, _ = forward(params, x)
         return softmax_xent(out, y)[0]
 
     errors = {}
     for name in params:
-        errors[name] = finite_diff_gradcheck(loss_now, params[name], grads[name],
+        errors[name] = finite_diff_gradcheck(loss_now, params[name].data, grads[name].data,
                                              h=_GRADCHECK_H)
     return errors

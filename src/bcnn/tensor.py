@@ -1,4 +1,9 @@
-"""Dense tensors and the differentiable primitives the network is built from.
+"""The model API's :class:`Tensor` and the differentiable primitives.
+
+The primitives and the finite-difference harness take and return plain
+ndarrays; nothing here wraps or unwraps a Tensor.  ``bcnn.model`` takes
+and returns Tensors: ``forward`` unwraps the parameters once, and
+``backward`` wraps its gradients once.
 
 Every primitive returns its output together with an :class:`OpContext`
 holding exactly the values its backward rule needs; there is no autodiff
@@ -50,7 +55,6 @@ __all__ = [
     "concat_channels_backward",
     "dense",
     "dense_backward",
-    "softmax_xent",
     "numeric_gradient",
     "finite_diff_gradcheck",
     "max_relative_error",
@@ -82,10 +86,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def rank(self):
-        return self.data.ndim
 
     @property
     def dtype(self):
@@ -200,9 +200,9 @@ def conv2d(x, w, bias):
     context keeps the caller's input array and the kernel, not the
     columns.
     """
-    _require(x.rank == 4, f"conv2d input must be rank 4, got rank {x.rank}")
-    _require(w.rank == 4, f"conv2d kernel must be rank 4, got rank {w.rank}")
-    _require(bias.rank == 1, f"conv2d bias must be rank 1, got rank {bias.rank}")
+    _require(x.ndim == 4, f"conv2d input must be rank 4, got rank {x.ndim}")
+    _require(w.ndim == 4, f"conv2d kernel must be rank 4, got rank {w.ndim}")
+    _require(bias.ndim == 1, f"conv2d bias must be rank 1, got rank {bias.ndim}")
     c_in = x.shape[1]
     c_out, c_w, kh, kw = w.shape
     _require(kh % 2 == 1 and kw % 2 == 1, f"conv2d kernel extents must be odd, got {kh}x{kw}")
@@ -211,10 +211,9 @@ def conv2d(x, w, bias):
     _require(bias.shape == (c_out,),
              f"bias shape {bias.shape} does not match {c_out} output channels")
 
-    out, _ = _correlate(_pad(x.data, kh // 2, kw // 2), w.data)
-    out += bias.data[None, :, None, None]
-    saved = {"w": w.data, "x": x.data, "x_shape": x.shape}
-    return Tensor(out), OpContext("conv2d", saved)
+    out, _ = _correlate(_pad(x, kh // 2, kw // 2), w)
+    out += bias[None, :, None, None]
+    return out, OpContext("conv2d", {"w": w, "x": x, "x_shape": x.shape})
 
 
 def conv2d_backward(ctx, grad_out, input_grad=True):
@@ -239,25 +238,24 @@ def conv2d_backward(ctx, grad_out, input_grad=True):
              f"conv2d upstream gradient has shape {grad_out.shape}, "
              f"expected {(batch, c_out, height, width)}")
 
-    g = grad_out.data
-    d_bias = g.sum(axis=(0, 2, 3))
+    d_bias = grad_out.sum(axis=(0, 2, 3))
     flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     if c_in <= c_out:
         # im2col layers rebuild each image's columns from the saved input.
-        d_x = _correlate(_pad(g, kh // 2, kw // 2), flipped)[0] if input_grad else None
+        d_x = _correlate(_pad(grad_out, kh // 2, kw // 2), flipped)[0] if input_grad else None
         patches = _patches(_pad(x, kh // 2, kw // 2), kh, kw)
-        g = g.reshape(batch, c_out, height * width)
+        g = grad_out.reshape(batch, c_out, height * width)
         parts = np.empty((batch, c_out, c_in * kh * kw), dtype=np.result_type(g, x))
         for b in range(batch):
             np.matmul(g[b], patches[b].reshape(c_in * kh * kw, -1).T, out=parts[b])
         d_w = parts.sum(axis=0).reshape(w.shape)
     else:
         # Shift-accumulate layers take d_w from the input-gradient correlation's columns.
-        d_x, parts = _correlate(_pad(g, kh // 2, kw // 2), flipped,
+        d_x, parts = _correlate(_pad(grad_out, kh // 2, kw // 2), flipped,
                                 rhs=x.reshape(batch, c_in, -1).transpose(0, 2, 1))
         d_w = parts.sum(axis=0)
         d_w = d_w.reshape(c_out, kh, kw, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
-    return (Tensor(d_x) if input_grad else None), Tensor(d_w), Tensor(d_bias)
+    return (d_x if input_grad else None), d_w, d_bias
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +273,16 @@ def maxpool2(x):
     caller can pad or resize them first.  Ties inside a window resolve to
     the lowest flat index, and only that element receives gradient.
     """
-    _require(x.rank == 4, f"maxpool2 input must be rank 4, got rank {x.rank}")
+    _require(x.ndim == 4, f"maxpool2 input must be rank 4, got rank {x.ndim}")
     height, width = x.shape[2:]
     if height % 2 or width % 2:
         raise DimensionError(
             f"maxpool2 needs even spatial extents, got {height}x{width}; pad or resize the input")
-    tl, tr, bl, br = (x.data[:, :, di::2, dj::2] for di, dj in _CORNERS)
+    tl, tr, bl, br = (x[:, :, di::2, dj::2] for di, dj in _CORNERS)
     out = np.maximum(tl, tr)
     np.maximum(out, bl, out=out)
     np.maximum(out, br, out=out)
-    return Tensor(out), OpContext("maxpool2", {"x": x.data, "out": out})
+    return out, OpContext("maxpool2", {"x": x, "out": out})
 
 
 def maxpool2_backward(ctx, grad_out):
@@ -303,7 +301,7 @@ def maxpool2_backward(ctx, grad_out):
     # where(won, g, +0.0), written in place.  The mask is the int8 negation
     # of ``won`` (-1 or 0), which the AND sign-extends to the full word.
     bits = np.dtype(f"i{x.itemsize}")
-    g_bits = grad_out.data.astype(x.dtype, copy=False).view(bits)
+    g_bits = grad_out.astype(x.dtype, copy=False).view(bits)
     d_x = np.empty(x.shape, dtype=x.dtype)
     unrouted = np.ones(out.shape, dtype=bool)
     won = np.empty(out.shape, dtype=bool)
@@ -314,7 +312,7 @@ def maxpool2_backward(ctx, grad_out):
         unrouted ^= won
         np.negative(won.view(np.int8), out=mask)
         np.bitwise_and(g_bits, mask, out=d_x[:, :, di::2, dj::2].view(bits))
-    return Tensor(d_x)
+    return d_x
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +323,14 @@ def relu(x):
     """Elementwise max(x, 0).  The context keeps only the input ``x``:
     backward recomputes the mask ``x > 0`` from it, and diagnostics read
     it to measure how close the pass came to the kink."""
-    out = np.where(x.data > 0, x.data, x.data.dtype.type(0))
-    return Tensor(out), OpContext("relu", {"x": x.data})
+    return np.where(x > 0, x, x.dtype.type(0)), OpContext("relu", {"x": x})
 
 
 def relu_backward(ctx, grad_out):
     x = _take(ctx, "relu")["x"]
     _require(grad_out.shape == x.shape,
              f"relu upstream gradient has shape {grad_out.shape}, expected {x.shape}")
-    return Tensor(np.where(x > 0, grad_out.data, grad_out.data.dtype.type(0)))
+    return np.where(x > 0, grad_out, grad_out.dtype.type(0))
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +339,9 @@ def relu_backward(ctx, grad_out):
 
 def upsample2(x):
     """Nearest-neighbour 2x upsampling: every pixel becomes a 2x2 block."""
-    _require(x.rank == 4, f"upsample2 input must be rank 4, got rank {x.rank}")
-    out = x.data.repeat(2, axis=2).repeat(2, axis=3)
-    ctx = OpContext("upsample2", {"x_shape": x.shape})
-    return Tensor(out), ctx
+    _require(x.ndim == 4, f"upsample2 input must be rank 4, got rank {x.ndim}")
+    out = x.repeat(2, axis=2).repeat(2, axis=3)
+    return out, OpContext("upsample2", {"x_shape": x.shape})
 
 
 def upsample2_backward(ctx, grad_out):
@@ -358,10 +354,10 @@ def upsample2_backward(ctx, grad_out):
     _require(grad_out.shape == (batch, chans, 2 * height, 2 * width),
              f"upsample2 upstream gradient has shape {grad_out.shape}, "
              f"expected {(batch, chans, 2 * height, 2 * width)}")
-    tl, tr, bl, br = (grad_out.data[:, :, di::2, dj::2] for di, dj in _CORNERS)
+    tl, tr, bl, br = (grad_out[:, :, di::2, dj::2] for di, dj in _CORNERS)
     d_x = (tl + tr) + (bl + br)
     d_x += 0.0
-    return Tensor(d_x)
+    return d_x
 
 
 # ---------------------------------------------------------------------------
@@ -370,26 +366,25 @@ def upsample2_backward(ctx, grad_out):
 
 def concat_channels(a, b):
     """Concatenates two batches along the channel axis."""
-    _require(a.rank == 4 and b.rank == 4,
-             f"concat_channels needs rank-4 tensors, got ranks {a.rank} and {b.rank}")
+    _require(a.ndim == 4 and b.ndim == 4,
+             f"concat_channels needs rank-4 arrays, got ranks {a.ndim} and {b.ndim}")
     _require(a.shape[0] == b.shape[0] and a.shape[2:] == b.shape[2:],
              f"concat_channels inputs must agree on batch and spatial extents, "
              f"got {a.shape} and {b.shape}")
-    out = np.concatenate([a.data, b.data], axis=1)
-    ctx = OpContext("concat_channels", {"split": a.shape[1], "shapes": (a.shape, b.shape)})
-    return Tensor(out), ctx
+    out = np.concatenate([a, b], axis=1)
+    return out, OpContext("concat_channels", {"split": a.shape[1], "shapes": (a.shape, b.shape)})
 
 
 def concat_channels_backward(ctx, grad_out):
-    """Splits the upstream gradient back into the two inputs' slices."""
+    """Splits the upstream gradient back into the two inputs' slices,
+    returned as views of ``grad_out``."""
     saved = _take(ctx, "concat_channels")
     shape_a, shape_b = saved["shapes"]
     split = saved["split"]
     expected = (shape_a[0], shape_a[1] + shape_b[1]) + shape_a[2:]
     _require(grad_out.shape == expected,
              f"concat_channels upstream gradient has shape {grad_out.shape}, expected {expected}")
-    g = grad_out.data
-    return Tensor(g[:, :split]), Tensor(g[:, split:])
+    return grad_out[:, :split], grad_out[:, split:]
 
 
 # ---------------------------------------------------------------------------
@@ -398,16 +393,14 @@ def concat_channels_backward(ctx, grad_out):
 
 def dense(x, w, bias):
     """Affine map ``x @ w + bias`` for a batch of feature vectors."""
-    _require(x.rank == 2, f"dense input must be rank 2, got rank {x.rank}")
-    _require(w.rank == 2, f"dense weight must be rank 2, got rank {w.rank}")
-    _require(bias.rank == 1, f"dense bias must be rank 1, got rank {bias.rank}")
+    _require(x.ndim == 2, f"dense input must be rank 2, got rank {x.ndim}")
+    _require(w.ndim == 2, f"dense weight must be rank 2, got rank {w.ndim}")
+    _require(bias.ndim == 1, f"dense bias must be rank 1, got rank {bias.ndim}")
     _require(x.shape[1] == w.shape[0],
              f"dense input has {x.shape[1]} features but weight expects {w.shape[0]}")
     _require(bias.shape == (w.shape[1],),
              f"dense bias shape {bias.shape} does not match {w.shape[1]} outputs")
-    out = x.data @ w.data + bias.data
-    ctx = OpContext("dense", {"x": x.data, "w": w.data})
-    return Tensor(out), ctx
+    return x @ w + bias, OpContext("dense", {"x": x, "w": w})
 
 
 def dense_backward(ctx, grad_out):
@@ -417,48 +410,7 @@ def dense_backward(ctx, grad_out):
     _require(grad_out.shape == (x.shape[0], w.shape[1]),
              f"dense upstream gradient has shape {grad_out.shape}, "
              f"expected {(x.shape[0], w.shape[1])}")
-    g = grad_out.data
-    return Tensor(g @ w.T), Tensor(x.T @ g), Tensor(g.sum(axis=0))
-
-
-# ---------------------------------------------------------------------------
-# softmax cross-entropy
-
-
-def softmax_xent(logits, targets):
-    """Mean softmax cross-entropy over a batch.
-
-    Returns ``(loss, d_logits)`` where ``d_logits`` is the gradient of the
-    mean loss, i.e. ``(softmax - onehot) / batch``.  Probabilities are
-    computed with the max subtracted per row, so large logits do not
-    overflow.
-    """
-    _require(logits.rank == 2, f"softmax_xent logits must be rank 2, got rank {logits.rank}")
-    batch, classes = logits.shape
-    _require(classes >= 2, f"softmax_xent needs at least 2 classes, got {classes}")
-    t = np.asarray(targets)
-    if t.ndim != 1 or t.shape[0] != batch:
-        raise DimensionError(
-            f"softmax_xent needs one target per row, got {t.shape} for batch {batch}")
-    if not np.issubdtype(t.dtype, np.integer):
-        raise DimensionError(f"softmax_xent targets must be integers, got dtype {t.dtype}")
-    if t.min() < 0 or t.max() >= classes:
-        bad = int(t[(t < 0) | (t >= classes)][0])
-        raise ConsistencyError(f"target label {bad} outside [0, {classes})")
-
-    z = logits.data
-    shifted = z - z.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    denom = exp.sum(axis=1, keepdims=True)
-    log_p = shifted - np.log(denom)
-    rows = np.arange(batch)
-    loss = float(-log_p[rows, t].mean())
-    if not np.isfinite(loss):
-        raise NumericError(f"softmax_xent produced a non-finite loss: {loss}")
-    d_logits = exp / denom
-    d_logits[rows, t] -= 1
-    d_logits /= batch
-    return loss, Tensor(d_logits.astype(z.dtype, copy=False))
+    return grad_out @ w.T, x.T @ grad_out, grad_out.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -468,34 +420,36 @@ def softmax_xent(logits, targets):
 def numeric_gradient(f, p, h=1e-3):
     """Central-difference gradient of scalar ``f`` with respect to ``p``.
 
-    Perturbs one coordinate of ``p`` at a time in place (restoring it
-    bit-exactly afterwards) and calls ``f(p)``, so ``f`` must recompute its
-    value from the tensor's current contents and must be deterministic.
+    Perturbs one coordinate of the float array ``p`` at a time in place
+    (restoring it bit-exactly afterwards) and calls ``f(p)``, so ``f`` must
+    recompute its value from the array's current contents and must be
+    deterministic.  Returns a float64 array of ``p``'s shape.
     """
     if not (isinstance(h, float) and h > 0):
         raise NumericError(f"step size must be a positive float, got {h!r}")
-    flat = p.data.reshape(-1)
-    out = np.zeros(flat.shape, dtype=np.float64)
-    for i in range(flat.size):
-        orig = flat[i].copy()
-        flat[i] = orig + h
+    if p.dtype not in _ALLOWED_DTYPES:
+        raise NumericError(f"can only perturb float32 or float64 arrays, got {p.dtype}")
+    out = np.zeros(p.shape, dtype=np.float64)
+    for i in np.ndindex(p.shape):
+        orig = p[i]
+        p[i] = orig + h
         f_plus = float(f(p))
-        flat[i] = orig - h
+        p[i] = orig - h
         f_minus = float(f(p))
-        flat[i] = orig
+        p[i] = orig
         if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
             raise NumericError(
                 f"function returned a non-finite value while perturbing coordinate {i}")
         out[i] = (f_plus - f_minus) / (2.0 * h)
-    return Tensor(out.reshape(p.shape), dtype=np.float64)
+    return out
 
 
 def max_relative_error(a, b):
     """max_i |a_i - b_i| / max(|a_i|, |b_i|, 1e-8) over flattened inputs."""
     _require(a.shape == b.shape,
              f"cannot compare gradients of shapes {a.shape} and {b.shape}")
-    x = a.data.astype(np.float64).reshape(-1)
-    y = b.data.astype(np.float64).reshape(-1)
+    x = a.astype(np.float64).reshape(-1)
+    y = b.astype(np.float64).reshape(-1)
     denom = np.maximum(np.maximum(np.abs(x), np.abs(y)), 1e-8)
     return float(np.max(np.abs(x - y) / denom))
 

@@ -35,9 +35,9 @@ from .errors import (ConfigError, ConsistencyError, CorpusError, FormatError,
                      IntegrityError, NumericError, TrainingError, UpdateError,
                      VersionError)
 from .metrics import ConfusionMatrix, report_from_matrix
-from .model import ModelConfig, backward, build_model, forward, parameter_shapes
+from .model import ModelConfig, backward, build_model, forward, parameter_shapes, softmax_xent
 from .optim import _learning_rate, adam_init, adam_step, sgd_step
-from .tensor import Tensor, softmax_xent
+from .tensor import Tensor
 
 __all__ = [
     "TrainConfig",
@@ -273,7 +273,11 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(path, checkpoint):
-    """Serializes a checkpoint; identical inputs give identical bytes."""
+    """Serializes a checkpoint of this build's version; identical inputs
+    give identical bytes."""
+    if checkpoint.version != CHECKPOINT_VERSION:
+        raise ConsistencyError(f"cannot write checkpoint version {checkpoint.version!r}; "
+                               f"this build writes {CHECKPOINT_VERSION}")
     config = checkpoint.config
     want = parameter_shapes(config)
     have = {name: tuple(t.shape) for name, t in checkpoint.params.items()}
@@ -290,8 +294,7 @@ def save_checkpoint(path, checkpoint):
         encoded = name.encode("utf-8")
         out += struct.pack("<I", len(encoded))
         out += encoded
-        out += struct.pack("<I", tensor.rank)
-        out += struct.pack(f"<{tensor.rank}I", *tensor.shape)
+        out += struct.pack(f"<I{len(tensor.shape)}I", len(tensor.shape), *tensor.shape)
         out += np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
     write_atomic(path, bytes(out))
 

@@ -30,7 +30,7 @@ from bcnn.metrics import (
     report_from_matrix,
     round_display,
 )
-from bcnn.model import ModelConfig, build_model, forward, full_model_gradcheck
+from bcnn.model import ModelConfig, build_model, forward, full_model_gradcheck, softmax_xent
 from bcnn.tensor import (
     Tensor,
     concat_channels,
@@ -44,7 +44,6 @@ from bcnn.tensor import (
     maxpool2_backward,
     relu,
     relu_backward,
-    softmax_xent,
     upsample2,
     upsample2_backward,
 )
@@ -164,49 +163,49 @@ def _per_op_gradcheck_errors():
     errors = {}
 
     def linear_readout(shape):
-        return Tensor(rng.standard_normal(shape))
+        return rng.standard_normal(shape)
 
     def sweep(name, rebuild, backward_grads, tensors):
         upstream = linear_readout(rebuild()[0].shape)
 
         def loss(_q):
             out, _ = rebuild()
-            return float((out.data * upstream.data).sum())
+            return float((out * upstream).sum())
 
         _, ctx = rebuild()
         grads = backward_grads(ctx, upstream)
         errors[name] = max(finite_diff_gradcheck(loss, p, g)
                            for p, g in zip(tensors, grads))
 
-    x = Tensor(rng.random((2, 2, 6, 6)) + 0.1)
-    w = Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.5)
-    b = Tensor(rng.standard_normal(3) * 0.1)
+    x = rng.random((2, 2, 6, 6)) + 0.1
+    w = rng.standard_normal((3, 2, 3, 3)) * 0.5
+    b = rng.standard_normal(3) * 0.1
     sweep("conv2d", lambda: conv2d(x, w, b),
           lambda ctx, u: conv2d_backward(ctx, u), (x, w, b))
 
     # tiered 2x2 blocks keep every pooling window's top-2 gap at least 0.2
     tiers = np.tile(np.array([[0.0, 0.3], [0.6, 0.9]]), (2, 2))
-    mp = Tensor(tiers + 0.1 * rng.random((2, 2, 4, 4)))
+    mp = tiers + 0.1 * rng.random((2, 2, 4, 4))
     sweep("maxpool2", lambda: maxpool2(mp),
           lambda ctx, u: (maxpool2_backward(ctx, u),), (mp,))
 
     raw = rng.standard_normal((2, 3, 4, 4))
-    ra = Tensor(np.sign(raw) * (np.abs(raw) + 0.2))  # keep clear of the kink
+    ra = np.sign(raw) * (np.abs(raw) + 0.2)  # keep clear of the kink
     sweep("relu", lambda: relu(ra),
           lambda ctx, u: (relu_backward(ctx, u),), (ra,))
 
-    up = Tensor(rng.standard_normal((2, 2, 3, 3)))
+    up = rng.standard_normal((2, 2, 3, 3))
     sweep("upsample2", lambda: upsample2(up),
           lambda ctx, u: (upsample2_backward(ctx, u),), (up,))
 
-    ca = Tensor(rng.standard_normal((2, 2, 3, 3)))
-    cb = Tensor(rng.standard_normal((2, 3, 3, 3)))
+    ca = rng.standard_normal((2, 2, 3, 3))
+    cb = rng.standard_normal((2, 3, 3, 3))
     sweep("concat_channels", lambda: concat_channels(ca, cb),
           lambda ctx, u: concat_channels_backward(ctx, u), (ca, cb))
 
-    dx = Tensor(rng.standard_normal((4, 5)))
-    dw = Tensor(rng.standard_normal((5, 3)) * 0.5)
-    db = Tensor(rng.standard_normal(3) * 0.1)
+    dx = rng.standard_normal((4, 5))
+    dw = rng.standard_normal((5, 3)) * 0.5
+    db = rng.standard_normal(3) * 0.1
     sweep("dense", lambda: dense(dx, dw, db),
           lambda ctx, u: dense_backward(ctx, u), (dx, dw, db))
 
@@ -214,7 +213,7 @@ def _per_op_gradcheck_errors():
     targets = np.array([0, 2, 1, 1])
     _, d_logits = softmax_xent(logits, targets)
     errors["softmax_xent"] = finite_diff_gradcheck(
-        lambda _q: softmax_xent(logits, targets)[0], logits, d_logits)
+        lambda _q: softmax_xent(logits, targets)[0], logits.data, d_logits.data)
     return errors
 
 

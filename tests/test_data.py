@@ -293,8 +293,12 @@ def test_rotate_arbitrary_angle_preserves_frame_and_fills_median():
 
 
 def test_scale_factor_one_is_bitwise_identity():
-    img = np.random.default_rng(4).integers(0, 256, size=(8, 8), dtype=np.uint8)
-    assert np.array_equal(scale_image(img, 1.0), img)
+    rng = np.random.default_rng(4)
+    for shape in ((8, 8), (9, 9), (8, 9), (9, 8), (1, 1), (13, 64), (64, 97), (97, 96)):
+        img = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        out = scale_image(img, 1.0)
+        assert out.dtype == img.dtype and np.array_equal(out, img), shape
+        assert not np.shares_memory(out, img), shape
 
 
 def test_scale_constant_image_any_factor():

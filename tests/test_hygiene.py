@@ -41,3 +41,17 @@ def test_exports_exist_and_imports_are_used(path):
     assert sorted(set(exported) - defined - imported) == []
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(exported)
     assert sorted(imported - used) == []
+
+
+def test_tensor_module_neither_wraps_nor_unwraps_outside_the_class():
+    # The primitives take and return ndarrays; Tensors are built and opened
+    # only where arrays enter or leave the model API.
+    path = Path(bcnn.__file__).parent / "tensor.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    outside = [node for top in tree.body
+               if not (isinstance(top, ast.ClassDef) and top.name == "Tensor")
+               for node in ast.walk(top)]
+    wraps = [n.lineno for n in outside if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Name) and n.func.id == "Tensor"]
+    unwraps = [n.lineno for n in outside if isinstance(n, ast.Attribute) and n.attr == "data"]
+    assert (wraps, unwraps) == ([], [])

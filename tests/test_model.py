@@ -17,8 +17,9 @@ from bcnn.model import (
     forward,
     full_model_gradcheck,
     parameter_shapes,
+    softmax_xent,
 )
-from bcnn.tensor import Tensor, conv2d_backward, softmax_xent
+from bcnn.tensor import Tensor, conv2d_backward
 
 TINY = ModelConfig(input_size=8, stages=2, channels=(2, 3), classes=3, seed=0)
 
@@ -197,6 +198,15 @@ def test_forward_input_validation():
         forward(params, Tensor(np.ones((2, 1, 8, 4), dtype=np.float32)))
     with pytest.raises(DimensionError):
         forward(params, Tensor(np.ones((2, 1, 6, 6), dtype=np.float32)))
+
+
+def test_forward_names_each_missing_tensor_of_the_cascade():
+    params = build_model(TINY)
+    x = batch_of(np.random.default_rng(3), TINY, 2)
+    for name in params:
+        partial = {n: t for n, t in params.items() if n != name}
+        with pytest.raises(ConsistencyError, match=name):
+            forward(partial, x)
 
 
 # ---------------------------------------------------------------------------

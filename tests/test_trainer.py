@@ -26,10 +26,11 @@ from bcnn.errors import (
     TrainingError,
     VersionError,
 )
-from bcnn.model import ModelConfig, backward, build_model, forward
-from bcnn.tensor import Tensor, softmax_xent
+from bcnn.model import ModelConfig, backward, build_model, forward, softmax_xent
+from bcnn.tensor import Tensor
 from bcnn.train import (
     CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     Checkpoint,
     TrainConfig,
     evaluate,
@@ -337,7 +338,7 @@ def test_evaluate_validation(trained):
 
 def expected_file_length(params, config):
     header = 4 + 4 + 4 + 4 + 4 * len(config.channels) + 4 + 4 + 4
-    body = sum(4 + len(name) + 4 + 4 * p.rank + 4 * p.data.size
+    body = sum(4 + len(name) + 4 + 4 * len(p.shape) + 4 * p.data.size
                for name, p in params.items())
     return header + body
 
@@ -501,6 +502,15 @@ def test_checkpoint_save_validation(tmp_path):
     incomplete.pop("head_b")
     with pytest.raises(ConsistencyError):
         save_checkpoint(tmp_path / "x.bcnn", Checkpoint(1, MODEL, incomplete))
+
+
+def test_checkpoint_save_writes_only_this_builds_version(tmp_path):
+    params = build_model(MODEL)
+    for version in (0, CHECKPOINT_VERSION + 1, "1", None):
+        path = tmp_path / f"v{version}.bcnn"
+        with pytest.raises(ConsistencyError, match="version"):
+            save_checkpoint(path, Checkpoint(version, MODEL, params))
+        assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
