@@ -87,10 +87,12 @@ class ForwardTrace:
 
     ``down_ctxs[k-1]`` lists stage k's ``[conv, pool, relu]`` contexts
     (k = 1..K) and ``up_ctxs[k-1]`` the ``[upsample, concat, conv, relu]``
-    contexts of the refinement that produces B_k (k = 1..K-1).  The maps
-    themselves are not kept: F_k and B_k have the shapes of the inputs
-    saved by the ReLU contexts of ``fwd{k}`` and ``refine{k}``.
-    ``param_shapes`` records the parameter set the pass ran with.
+    contexts of the refinement that produces B_k (k = 1..K-1).  The ReLU
+    contexts of ``fwd{k}`` and ``refine{k}`` hold F_k and B_k themselves,
+    their outputs; F_k is also the input that the conv of stage k+1 keeps.
+    Each pooling context holds its winner record, not the conv output it
+    pooled, and each conv context its input and kernel.  ``param_shapes``
+    records the parameter set the pass ran with.
 
     ``backward`` pops each context once it has used it and sets
     ``head_ctx`` to None, so its arrays are freed during the pass; a
@@ -233,9 +235,9 @@ def backward(params, trace, d_logits):
     stages = len(trace.down_ctxs)
 
     # The head pooled B_1 and F_K, the outputs of the ReLUs of refine1
-    # and fwd{K}; each has the shape of its ReLU's saved input.
-    fine_shape = trace.up_ctxs[0][-1].saved["x"].shape
-    coarse_shape = trace.down_ctxs[-1][-1].saved["x"].shape
+    # and fwd{K}, which their contexts keep.
+    fine_shape = trace.up_ctxs[0][-1].saved["out"].shape
+    coarse_shape = trace.down_ctxs[-1][-1].saved["out"].shape
 
     grads = {}
     d_pooled, grads["head_w"], grads["head_b"] = dense_backward(trace.head_ctx, d_logits.data)
@@ -319,7 +321,7 @@ def softmax_xent(logits, targets):
     return loss, Tensor(d_logits.astype(z.dtype, copy=False))
 
 
-def _kink_margin(trace):
+def _kink_margin(trace, params):
     """Distance of the traced forward pass from its nearest decision flip.
 
     Returns the smallest of: every conv output's |value|, and every pooling
@@ -329,13 +331,18 @@ def _kink_margin(trace):
     requiring a healthy margin keeps the central-difference estimate
     trustworthy.  It is measured on the conv outputs, as for the equal
     rectify-then-pool order, so pooling first does not change which inputs
-    pass.
+    pass.  The trace does not keep those outputs; each is recomputed, bit
+    for bit, from its conv context's input and kernel and the bias in
+    ``params``.
     """
+    def conv_output(conv_ctx, name):
+        return conv2d(conv_ctx.saved["x"], conv_ctx.saved["w"], params[f"{name}_b"].data)[0]
+
     margin = np.inf
-    for *_, relu_ctx in trace.up_ctxs:
-        margin = min(margin, float(np.abs(relu_ctx.saved["x"]).min()))
-    for _, pool_ctx, _ in trace.down_ctxs:
-        pre = pool_ctx.saved["x"]
+    for k, (_, _, conv_ctx, _) in enumerate(trace.up_ctxs, start=1):
+        margin = min(margin, float(np.abs(conv_output(conv_ctx, f"refine{k}")).min()))
+    for k, (conv_ctx, _, _) in enumerate(trace.down_ctxs, start=1):
+        pre = conv_output(conv_ctx, f"fwd{k}")
         margin = min(margin, float(np.abs(pre).min()))
         act = np.maximum(pre, 0.0)
         batch, chans, height, width = act.shape
@@ -383,7 +390,7 @@ def full_model_gradcheck(seed=0):
         x = Tensor(rng.random((_GRADCHECK_BATCH, 1, size, size)), dtype=np.float64)
         y = rng.integers(0, config.classes, size=_GRADCHECK_BATCH)
         logits, trace = forward(params, x)
-        if _kink_margin(trace) >= _GRADCHECK_MARGIN:
+        if _kink_margin(trace, params) >= _GRADCHECK_MARGIN:
             break
     else:
         raise NumericError(f"no input with kink margin >= {_GRADCHECK_MARGIN} found in "

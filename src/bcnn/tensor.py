@@ -7,11 +7,14 @@ and returns Tensors: ``forward`` unwraps the parameters once, and
 
 Every primitive returns its output together with an :class:`OpContext`
 holding exactly the values its backward rule needs; there is no autodiff
-graph.  A context holds only arrays the forward pass computes anyway: its
-inputs or its output.  ReLU keeps just its input and recomputes its mask
-in backward; the conv keeps its input and kernel and rebuilds its im2col
-columns in backward, one image at a time.  Conventions fixed here and
-relied on everywhere else:
+graph.  A context holds arrays the forward pass computes anyway, its
+inputs or its output, or a record smaller than them.  ReLU keeps its
+output, the array it returns and the next layer reads, and recomputes its
+mask from it in backward.  Max pooling keeps each window's winner as
+booleans, 4 bytes per pooled element, not the conv output it pooled.  The
+conv keeps its input and kernel and rebuilds its im2col columns in
+backward, one image at a time.  Conventions fixed here and relied on
+everywhere else:
 
 - image batches are laid out ``(batch, channels, height, width)``;
 - convolution is stride-1 cross-correlation (no kernel flip) with odd
@@ -120,6 +123,20 @@ def _take(ctx, op):
     return ctx.saved
 
 
+def _bits(dtype):
+    """The signed integer type as wide as the float type ``dtype``."""
+    return np.dtype(f"i{dtype.itemsize}")
+
+
+def _mask(won):
+    """A boolean array as int8 all-ones (-1) where it holds and zeros
+    elsewhere.  ANDed with a float's bit pattern, the AND sign-extends it
+    to the full word, so ``value_bits & _mask(won)`` is exactly
+    ``np.where(won, value, +0.0)``, computed without branching on the
+    data."""
+    return np.negative(won.view(np.int8))
+
+
 # ---------------------------------------------------------------------------
 # conv2d
 
@@ -170,15 +187,18 @@ def _correlate(xp, w, rhs=None):
             if rhs is not None:
                 np.matmul(cols, rhs[b], out=prods[b])
         return out, prods
-    # Kernel rows (o, i, j) times the input, then tap (i, j)'s shifted window of each plane.
+    # Kernel rows (o, i, j) times the input; output (o, y, x) then sums plane
+    # (o, i, j) at (y + i, x + j) over the taps, in row-major tap order.
     rows = w.transpose(0, 2, 3, 1).reshape(c_out * kh * kw, c_in)
     for b in range(batch):
         planes = np.matmul(rows, xp[b].reshape(c_in, -1)).reshape(c_out, kh, kw, height, width)
-        taps = [planes[:, i, j, i:i + out_h, j:j + out_w] for i in range(kh) for j in range(kw)]
-        acc = out[b]
-        np.copyto(acc, taps[0])
-        for tap in taps[1:]:
-            acc += tap
+        s_o, s_i, s_j, s_y, s_x = planes.strides
+        taps = np.lib.stride_tricks.as_strided(
+            planes, (c_out, kh, kw, out_h, out_w), (s_o, s_i + s_y, s_j + s_x, s_y, s_x),
+            writeable=False)
+        # -0.0 is the exact additive identity, so the sum equals adding the
+        # taps one by one onto a copy of the first, an all -0.0 sum included.
+        np.add.reduce(taps, axis=(1, 2), out=out[b], initial=-0.0)
     return out, None
 
 
@@ -245,10 +265,12 @@ def conv2d_backward(ctx, grad_out, input_grad=True):
         d_x = _correlate(_pad(grad_out, kh // 2, kw // 2), flipped)[0] if input_grad else None
         patches = _patches(_pad(x, kh // 2, kw // 2), kh, kw)
         g = grad_out.reshape(batch, c_out, height * width)
-        parts = np.empty((batch, c_out, c_in * kh * kw), dtype=np.result_type(g, x))
+        # The columns, the larger GEMM operand, go in untransposed and the
+        # gradient transposed; d_w is transposed once, after the sum.
+        parts = np.empty((batch, c_in * kh * kw, c_out), dtype=np.result_type(g, x))
         for b in range(batch):
-            np.matmul(g[b], patches[b].reshape(c_in * kh * kw, -1).T, out=parts[b])
-        d_w = parts.sum(axis=0).reshape(w.shape)
+            np.matmul(patches[b].reshape(c_in * kh * kw, -1), g[b].T, out=parts[b])
+        d_w = parts.sum(axis=0).T.reshape(w.shape)
     else:
         # Shift-accumulate layers take d_w from the input-gradient correlation's columns.
         d_x, parts = _correlate(_pad(grad_out, kh // 2, kw // 2), flipped,
@@ -262,56 +284,65 @@ def conv2d_backward(ctx, grad_out, input_grad=True):
 # maxpool2
 
 
-# Offsets of the four elements of a 2x2 window, in row-major order.
-_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
 def maxpool2(x):
     """2x2 max pooling with stride 2.
 
     Both spatial extents must be even; odd inputs are rejected so the
     caller can pad or resize them first.  Ties inside a window resolve to
-    the lowest flat index, and only that element receives gradient.
+    the lowest flat index, and only that element receives gradient; a
+    window holding a NaN pools to NaN and passes no gradient.
+
+    Each window is a tournament.  In each of its rows the right element
+    beats the left only if strictly greater; then the bottom row's maximum
+    beats the top row's only if strictly greater.  That is the first
+    corner, in row-major order, equal to the window's maximum.  The
+    context keeps the outcome, not ``x``: per row pair whether the right
+    element won, and per window whether the top row won and whether the
+    bottom row won, both False when a NaN is in the window (every
+    comparison with NaN is False).  These booleans take 4 bytes per pooled
+    element; with them go ``x``'s shape and dtype.
     """
     _require(x.ndim == 4, f"maxpool2 input must be rank 4, got rank {x.ndim}")
     height, width = x.shape[2:]
     if height % 2 or width % 2:
         raise DimensionError(
             f"maxpool2 needs even spatial extents, got {height}x{width}; pad or resize the input")
-    tl, tr, bl, br = (x[:, :, di::2, dj::2] for di, dj in _CORNERS)
-    out = np.maximum(tl, tr)
-    np.maximum(out, bl, out=out)
-    np.maximum(out, br, out=out)
-    return out, OpContext("maxpool2", {"x": x, "out": out})
+    left, right = x[..., 0::2], x[..., 1::2]
+    right_won = np.greater(right, left)
+    rows = np.maximum(left, right)
+    top, bottom = rows[:, :, 0::2], rows[:, :, 1::2]
+    top_won = np.greater_equal(top, bottom)
+    bottom_won = np.greater(bottom, top)
+    out = np.maximum(top, bottom)
+    return out, OpContext("maxpool2", {"right_won": right_won, "top_won": top_won,
+                                       "bottom_won": bottom_won,
+                                       "x_shape": x.shape, "dtype": x.dtype})
 
 
 def maxpool2_backward(ctx, grad_out):
     """Routes each upstream gradient to the element that won its window.
 
-    The winner is the first corner, in row-major order, that equals the
-    window's maximum: the lowest flat index among tied maxima.  A window
-    whose maximum is NaN passes no gradient.
+    The gradient walks the forward tournament back: to the winning row of
+    each window, then to the winning element of that row.  Each step
+    writes ``where(won, g, +0.0)`` by bits (see :func:`_mask`), and the
+    input gradient has the forward input's dtype.
     """
     saved = _take(ctx, "maxpool2")
-    x, out = saved["x"], saved["out"]
-    _require(grad_out.shape == out.shape,
-             f"maxpool2 upstream gradient has shape {grad_out.shape}, expected {out.shape}")
-    # Each corner's gradient is the upstream value's bit pattern ANDed with
-    # all-ones where the corner won and with zeros elsewhere: exactly
-    # where(won, g, +0.0), written in place.  The mask is the int8 negation
-    # of ``won`` (-1 or 0), which the AND sign-extends to the full word.
-    bits = np.dtype(f"i{x.itemsize}")
-    g_bits = grad_out.astype(x.dtype, copy=False).view(bits)
-    d_x = np.empty(x.shape, dtype=x.dtype)
-    unrouted = np.ones(out.shape, dtype=bool)
-    won = np.empty(out.shape, dtype=bool)
-    mask = np.empty(out.shape, dtype=np.int8)
-    for di, dj in _CORNERS:
-        np.equal(x[:, :, di::2, dj::2], out, out=won)
-        won &= unrouted
-        unrouted ^= won
-        np.negative(won.view(np.int8), out=mask)
-        np.bitwise_and(g_bits, mask, out=d_x[:, :, di::2, dj::2].view(bits))
+    batch, chans, height, width = saved["x_shape"]
+    expected = (batch, chans, height // 2, width // 2)
+    _require(grad_out.shape == expected,
+             f"maxpool2 upstream gradient has shape {grad_out.shape}, expected {expected}")
+    dtype = saved["dtype"]
+    bits = _bits(dtype)
+    g_bits = grad_out.astype(dtype, copy=False).view(bits)
+    rows = np.empty((batch, chans, height, width // 2), dtype=bits)
+    np.bitwise_and(g_bits, _mask(saved["top_won"]), out=rows[:, :, 0::2])
+    np.bitwise_and(g_bits, _mask(saved["bottom_won"]), out=rows[:, :, 1::2])
+    right = _mask(saved["right_won"])
+    d_x = np.empty(saved["x_shape"], dtype=dtype)
+    np.bitwise_and(rows, right, out=d_x[..., 1::2].view(bits))
+    # ~(-1) == 0 and ~0 == -1: the left element won where the right did not.
+    np.bitwise_and(rows, ~right, out=d_x[..., 0::2].view(bits))
     return d_x
 
 
@@ -320,17 +351,23 @@ def maxpool2_backward(ctx, grad_out):
 
 
 def relu(x):
-    """Elementwise max(x, 0).  The context keeps only the input ``x``:
-    backward recomputes the mask ``x > 0`` from it, and diagnostics read
-    it to measure how close the pass came to the kink."""
-    return np.where(x > 0, x, x.dtype.type(0)), OpContext("relu", {"x": x})
+    """Elementwise max(x, 0), with NaN and -0.0 mapped to +0.0.
+
+    The context keeps the returned array itself, not a copy, and backward
+    recomputes the mask ``out > 0`` from it, which equals ``x > 0``, NaN
+    included.  The caller must not write into the result while the
+    context may still be used.
+    """
+    out = np.bitwise_and(x.view(_bits(x.dtype)), _mask(x > 0)).view(x.dtype)
+    return out, OpContext("relu", {"out": out})
 
 
 def relu_backward(ctx, grad_out):
-    x = _take(ctx, "relu")["x"]
-    _require(grad_out.shape == x.shape,
-             f"relu upstream gradient has shape {grad_out.shape}, expected {x.shape}")
-    return np.where(x > 0, grad_out, grad_out.dtype.type(0))
+    out = _take(ctx, "relu")["out"]
+    _require(grad_out.shape == out.shape,
+             f"relu upstream gradient has shape {grad_out.shape}, expected {out.shape}")
+    g_bits = grad_out.view(_bits(grad_out.dtype))
+    return np.bitwise_and(g_bits, _mask(out > 0)).view(grad_out.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +391,8 @@ def upsample2_backward(ctx, grad_out):
     _require(grad_out.shape == (batch, chans, 2 * height, 2 * width),
              f"upsample2 upstream gradient has shape {grad_out.shape}, "
              f"expected {(batch, chans, 2 * height, 2 * width)}")
-    tl, tr, bl, br = (grad_out[:, :, di::2, dj::2] for di, dj in _CORNERS)
+    tl, tr, bl, br = (grad_out[:, :, di::2, dj::2]
+                      for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)))
     d_x = (tl + tr) + (bl + br)
     d_x += 0.0
     return d_x

@@ -134,9 +134,9 @@ def test_forward_trace_resolution_ladder():
     params = build_model(config)
     _, trace = forward(params, batch_of(np.random.default_rng(2), config, 2))
     # F_k and B_k are the ReLU outputs of stage k's forward and refine convs
-    assert [ctxs[-1].saved["x"].shape for ctxs in trace.down_ctxs] == [
+    assert [ctxs[-1].saved["out"].shape for ctxs in trace.down_ctxs] == [
         (2, 16, 32, 32), (2, 32, 16, 16), (2, 64, 8, 8)]
-    assert [ctxs[-1].saved["x"].shape for ctxs in trace.up_ctxs] == [
+    assert [ctxs[-1].saved["out"].shape for ctxs in trace.up_ctxs] == [
         (2, 16, 32, 32), (2, 32, 16, 16)]
     assert trace.head_ctx.saved["x"].shape == (2, 16 + 64)
 
@@ -147,7 +147,7 @@ def test_forward_trace_keeps_only_what_backward_reads():
     assert [f.name for f in dataclasses.fields(ForwardTrace)] == [
         "down_ctxs", "up_ctxs", "head_ctx", "param_shapes"]
     relu_ctxs = [ctxs[-1] for ctxs in trace.down_ctxs + trace.up_ctxs]
-    assert all(set(ctx.saved) == {"x"} for ctx in relu_ctxs)
+    assert all(set(ctx.saved) == {"out"} for ctx in relu_ctxs)
 
 
 def _held_bytes(obj, seen):
@@ -176,6 +176,15 @@ def test_forward_trace_of_a_default_batch_fits_in_36_mib():
     config = ModelConfig()
     _, trace = forward(build_model(config), batch_of(np.random.default_rng(4), config, 32))
     assert _held_bytes(trace, set()) <= 36 * 2 ** 20
+
+
+def test_forward_trace_of_a_default_batch_fits_in_20_mib():
+    # Pooling keeps a 4-byte winner record per pooled element, not the
+    # conv output it pooled, and ReLU keeps the output that the next conv
+    # keeps anyway: a batch of 32 default-size images holds 19.7 MiB.
+    config = ModelConfig()
+    _, trace = forward(build_model(config), batch_of(np.random.default_rng(4), config, 32))
+    assert _held_bytes(trace, set()) <= 20 * 2 ** 20
 
 
 def test_forward_permuting_batch_permutes_logits():

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcnn.errors import ConsistencyError, DimensionError, NumericError
 from bcnn.model import softmax_xent
@@ -148,6 +150,63 @@ def test_maxpool2_rejects_odd_extent():
         maxpool2(t(np.ones((1, 1, 4, 5))))
 
 
+def _pool_by_corner_rule(x, grad_out):
+    """Max pooling and its input gradient by the corner rule: the maximum
+    folds the four corners in row-major order with np.maximum, and the
+    gradient goes to the first corner equal to it, so a window whose
+    maximum is NaN routes nothing.  ``d_x`` has ``x``'s dtype."""
+    offsets = ((0, 0), (0, 1), (1, 0), (1, 1))
+    corners = [x[:, :, di::2, dj::2] for di, dj in offsets]
+    out = corners[0]
+    for corner in corners[1:]:
+        out = np.maximum(out, corner)
+    g = grad_out.astype(x.dtype)
+    d_x = np.zeros(x.shape, dtype=x.dtype)
+    unrouted = np.ones(out.shape, dtype=bool)
+    for (di, dj), corner in zip(offsets, corners):
+        won = (corner == out) & unrouted
+        unrouted &= ~won
+        d_x[:, :, di::2, dj::2] = np.where(won, g, 0)
+    return out, d_x
+
+
+# Few distinct values make ties, signed-zero ties and NaN windows common.
+_POOL_VALUES = (-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 5e-324, math.inf, -math.inf, math.nan)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_maxpool2_matches_the_corner_rule_bit_for_bit(data):
+    x_dtype, g_dtype = (data.draw(st.sampled_from((np.float32, np.float64))) for _ in "xg")
+    shape = (data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3)),
+             2 * data.draw(st.integers(1, 3)), 2 * data.draw(st.integers(1, 3)))
+    size = math.prod(shape)
+    x = np.array(data.draw(st.lists(st.sampled_from(_POOL_VALUES), min_size=size,
+                                    max_size=size)), dtype=x_dtype).reshape(shape)
+    pooled = (shape[0], shape[1], shape[2] // 2, shape[3] // 2)
+    g_values = st.one_of(st.sampled_from(_POOL_VALUES), st.floats(-4.0, 4.0))
+    grad = np.array(data.draw(st.lists(g_values, min_size=math.prod(pooled),
+                                       max_size=math.prod(pooled))),
+                    dtype=g_dtype).reshape(pooled)
+    want_out, want_dx = _pool_by_corner_rule(x, grad)
+    out, ctx = maxpool2(x)
+    d_x = maxpool2_backward(ctx, grad)
+    assert out.dtype == x_dtype and out.tobytes() == want_out.tobytes()
+    assert d_x.dtype == x_dtype and d_x.tobytes() == want_dx.tobytes()
+
+
+def test_maxpool2_context_keeps_a_winner_record_not_the_input():
+    # Backward routes from booleans, at most 4 bytes per pooled element.
+    # The context keeps no float array: neither the input nor the output.
+    rng = np.random.default_rng(12)
+    for dtype in (np.float32, np.float64):
+        x = rng.standard_normal((2, 3, 8, 6)).astype(dtype)
+        out, ctx = maxpool2(x)
+        arrays = [v for v in ctx.saved.values() if isinstance(v, np.ndarray)]
+        assert arrays and not any(np.issubdtype(a.dtype, np.floating) for a in arrays)
+        assert sum(a.nbytes for a in arrays) <= 4 * out.size
+
+
 # ---------------------------------------------------------------------------
 # relu
 
@@ -167,6 +226,24 @@ def test_relu_backward_mask_with_zero_convention():
     _, ctx = relu(t([-1.0, 2.0, 0.0]))
     dx = relu_backward(ctx, t([1.0, 1.0, 1.0]))
     assert np.array_equal(dx, np.array([0.0, 1.0, 0.0]))
+
+
+def test_relu_matches_where_on_nan_signed_zeros_infinities_and_denormals():
+    # relu and its backward compute where(x > 0, v, +0.0) by bits: NaN and
+    # -0.0 become +0.0, and every kept value keeps its exact bits.
+    for dtype in (np.float32, np.float64):
+        tiny = np.finfo(dtype).smallest_subnormal
+        specials = [math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf, tiny, -tiny, 1.5, -1.5]
+        x = np.array(specials, dtype=dtype)
+        out, ctx = relu(x)
+        assert out.dtype == dtype
+        assert out.tobytes() == np.where(x > 0, x, dtype(0)).tobytes()
+        assert ctx.saved["out"] is out  # the context shares the returned array
+        for g_dtype in (np.float32, np.float64):
+            grad = np.array(specials[::-1], dtype=g_dtype)
+            d_x = relu_backward(ctx, grad)
+            assert d_x.dtype == g_dtype
+            assert d_x.tobytes() == np.where(x > 0, grad, g_dtype(0)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +564,69 @@ def test_conv2d_batch_rows_are_independent_bit_for_bit():
                 assert out.tobytes() == stacked_out.tobytes(), case
                 assert dx.tobytes() == stacked_dx.tobytes(), case
                 assert dw.tobytes() == summed_dw.tobytes(), case
+
+
+def _correlate_tap_by_tap(x, w):
+    """conv2d's shift-accumulate correlation, zero bias, with each image's
+    taps added one at a time in row-major order onto a copy of the first."""
+    c_out, c_in, kh, kw = w.shape
+    height, width = x.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+    rows = w.transpose(0, 2, 3, 1).reshape(c_out * kh * kw, c_in)
+    images = []
+    for image in xp:
+        planes = np.matmul(rows, image.reshape(c_in, -1)).reshape(c_out, kh, kw, *image.shape[1:])
+        acc = planes[:, 0, 0, :height, :width].copy()
+        for i in range(kh):
+            for j in range(kw):
+                if i or j:
+                    acc += planes[:, i, j, i:i + height, j:j + width]
+        images.append(acc)
+    return np.stack(images)
+
+
+def test_shift_accumulate_sums_its_taps_in_order_bit_for_bit():
+    # C_in > C_out takes the shift-accumulate path; one reduction over the
+    # taps must give the bits of adding them one by one.  A -0.0 bias adds
+    # exactly nothing.  The last two cases are the default model's
+    # refinement convs on one image.
+    rng = np.random.default_rng(41)
+    cases = [((2, 6, 7, 6), (2, 6, k, k)) for k in (1, 3, 5)]
+    cases += [((1, 48, 32, 32), (16, 48, 3, 3)), ((1, 96, 16, 16), (32, 96, 3, 3))]
+    for dtype in (np.float32, np.float64):
+        for x_shape, w_shape in cases:
+            x = rng.standard_normal(x_shape).astype(dtype)
+            x[..., ::3] = 0.0
+            w = rng.standard_normal(w_shape).astype(dtype)
+            out, _ = conv2d(x, w, np.full(w_shape[0], -0.0, dtype=dtype))
+            want = _correlate_tap_by_tap(x, w)
+            case = (dtype.__name__, x_shape, w_shape)
+            assert out.dtype == dtype and out.tobytes() == want.tobytes(), case
+
+
+def test_im2col_weight_gradient_matches_the_per_image_gradient_times_columns():
+    # On im2col layers d_w sums, over images, columns times the transposed
+    # gradient; it must give the bits of the gradient times the transposed
+    # columns, summed the same way.  The shapes are the forward convs of
+    # the default model and of the gradient-check model.
+    rng = np.random.default_rng(43)
+    shapes = ((1, 16, 64), (16, 32, 32), (32, 64, 16), (1, 2, 8), (2, 3, 4))
+    for dtype in (np.float32, np.float64):
+        for c_in, c_out, size in shapes:
+            x = rng.standard_normal((3, c_in, size, size)).astype(dtype)
+            w = rng.standard_normal((c_out, c_in, 3, 3)).astype(dtype)
+            g = rng.standard_normal((3, c_out, size, size)).astype(dtype)
+            _, ctx = conv2d(x, w, np.zeros(c_out, dtype=dtype))
+            _, d_w, _ = conv2d_backward(ctx, g, input_grad=False)
+            xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+            parts = []
+            for b in range(3):
+                cols = np.stack([xp[b, c, i:i + size, j:j + size]
+                                 for c in range(c_in) for i in range(3) for j in range(3)])
+                parts.append(g[b].reshape(c_out, -1) @ cols.reshape(c_in * 9, -1).T)
+            want = np.stack(parts).sum(axis=0).reshape(w.shape)
+            case = (dtype.__name__, c_in, c_out, size)
+            assert d_w.dtype == dtype and d_w.tobytes() == want.tobytes(), case
 
 
 def test_conv2d_paths_agree_for_any_stride_pad_and_kernel():
