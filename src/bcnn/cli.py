@@ -124,23 +124,27 @@ def _class_names(config):
     return [f"class{i}" for i in range(config.classes)]
 
 
+def _write_corpus(out, manifest, digits):
+    """Writes each image to ``out/<class>/<class>_<n>.pgm``, n counted per class
+    from 0 in manifest order and zero-padded to ``digits``, then the manifest."""
+    written = [0] * len(manifest.class_names)
+    for item in manifest.items:
+        cls = manifest.class_names[item.label]
+        (out / cls).mkdir(parents=True, exist_ok=True)
+        item.path = f"{cls}/{cls}_{written[item.label]:0{digits}d}.pgm"
+        write_pgm(out / item.path, item.pixels)
+        written[item.label] += 1
+    write_manifest_csv(manifest, out / "manifest.csv")
+
+
 def _cmd_synth(args):
     if args.per_class < 1:
         raise ConfigError(f"--per-class must be positive, got {args.per_class}")
-    out = Path(args.out)
-    items = []
-    for cls in CLASS_NAMES:
-        (out / cls).mkdir(parents=True, exist_ok=True)
-        for i in range(args.per_class):
-            item = synth_generate(cls, args.size, args.seed + i)
-            rel = f"{cls}/{cls}_{i:04d}.pgm"
-            write_pgm(out / rel, item.pixels)
-            item.path = rel
-            items.append(item)
-    manifest = DatasetManifest(list(CLASS_NAMES), items, provenance="synthetic",
-                               seed=args.seed)
-    write_manifest_csv(manifest, out / "manifest.csv")
-    print(f"wrote {len(items)} images across {len(CLASS_NAMES)} classes to {out}")
+    items = [synth_generate(cls, args.size, args.seed + i)
+             for cls in CLASS_NAMES for i in range(args.per_class)]
+    manifest = DatasetManifest(list(CLASS_NAMES), items, provenance="synthetic", seed=args.seed)
+    _write_corpus(Path(args.out), manifest, digits=4)
+    print(f"wrote {len(items)} images across {len(CLASS_NAMES)} classes to {Path(args.out)}")
     return 0
 
 
@@ -150,18 +154,9 @@ def _cmd_augment(args):
                        seed=args.seed)
     manifest = load_dataset(args.in_dir)
     augmented = augment_dataset(manifest, spec)
-    out = Path(args.out)
-    written = [0] * len(augmented.class_names)
-    for item in augmented.items:
-        cls = augmented.class_names[item.label]
-        (out / cls).mkdir(parents=True, exist_ok=True)
-        rel = f"{cls}/{cls}_{written[item.label]:05d}.pgm"
-        write_pgm(out / rel, item.pixels)
-        item.path = rel
-        written[item.label] += 1
-    write_manifest_csv(augmented, out / "manifest.csv")
+    _write_corpus(Path(args.out), augmented, digits=5)
     print(f"wrote {len(augmented.items)} images "
-          f"({len(manifest.items)} originals, {args.variants} variants each) to {out}")
+          f"({len(manifest.items)} originals, {args.variants} variants each) to {Path(args.out)}")
     return 0
 
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from .data import _is_int, _tuple_of
 from .errors import ConfigError, ConsistencyError, DimensionError, NumericError
-from .tensor import (OpContext, Tensor, concat_channels, concat_channels_backward,
-                     conv2d, conv2d_backward, dense, dense_backward,
+from .tensor import (Tensor, concat_channels, concat_channels_backward, conv2d,
+                     conv2d_backward, dense, dense_backward,
                      finite_diff_gradcheck, maxpool2, maxpool2_backward,
                      relu, relu_backward, upsample2, upsample2_backward)
 
@@ -83,25 +83,22 @@ class ModelConfig:
 
 @dataclass
 class ForwardTrace:
-    """Exactly what ``backward`` reads, captured in application order.
+    """Exactly what ``backward`` reads: a stack of op contexts.
 
-    ``down_ctxs[k-1]`` lists stage k's ``[conv, pool, relu]`` contexts
-    (k = 1..K) and ``up_ctxs[k-1]`` the ``[upsample, concat, conv, relu]``
-    contexts of the refinement that produces B_k (k = 1..K-1).  The ReLU
-    contexts of ``fwd{k}`` and ``refine{k}`` hold F_k and B_k themselves,
-    their outputs; F_k is also the input that the conv of stage k+1 keeps.
+    ``ctxs`` lists every op context in application order: stage k's
+    conv, pool and relu for k = 1..K, then the upsample, concat, conv and
+    relu of the refinement producing B_k for k = K-1..1, then the head's
+    dense.  The ReLU contexts of ``fwd{k}`` and ``refine{k}`` hold F_k and
+    B_k, their outputs; F_k is also the input the conv of stage k+1 keeps.
     Each pooling context holds its winner record, not the conv output it
     pooled, and each conv context its input and kernel.  ``param_shapes``
     records the parameter set the pass ran with.
 
-    ``backward`` pops each context once it has used it and sets
-    ``head_ctx`` to None, so its arrays are freed during the pass; a
-    trace serves exactly one backward.
+    ``backward`` pops each context once its rule has used it, so the
+    arrays are freed during the pass; a trace serves exactly one backward.
     """
 
-    down_ctxs: list
-    up_ctxs: list
-    head_ctx: OpContext
+    ctxs: list
     param_shapes: dict
 
 
@@ -164,10 +161,10 @@ def _stage_count(params):
 
 
 def _gap_backward(grad, shape):
-    """Spreads each pooled gradient uniformly over its H*W positions."""
+    """A read-only view spreading each pooled gradient over its H*W positions."""
     _, _, height, width = shape
     scale = grad.dtype.type(1.0 / (height * width))
-    return np.broadcast_to((grad * scale)[:, :, None, None], shape).copy()
+    return np.broadcast_to((grad * scale)[:, :, None, None], shape)
 
 
 def forward(params, batch):
@@ -184,64 +181,56 @@ def forward(params, batch):
     if height != width:
         raise DimensionError(f"input must be square, got {height}x{width}")
     p = {name: t.data for name, t in params.items()}
+    ctxs = []
 
-    f_maps, down_ctxs = [], []
+    def record(result):
+        out, ctx = result
+        ctxs.append(ctx)
+        return out
+
+    f_maps = []
     cur = batch.data
     for k in range(1, stages + 1):
-        conv_out, conv_ctx = conv2d(cur, p[f"fwd{k}_w"], p[f"fwd{k}_b"])
-        pooled, pool_ctx = maxpool2(conv_out)
-        cur, relu_ctx = relu(pooled)
+        conv_out = record(conv2d(cur, p[f"fwd{k}_w"], p[f"fwd{k}_b"]))
+        cur = record(relu(record(maxpool2(conv_out))))
         f_maps.append(cur)
-        down_ctxs.append([conv_ctx, pool_ctx, relu_ctx])
 
-    up_ctxs = [None] * (stages - 1)
     coarse = f_maps[-1]
     for k in range(stages - 1, 0, -1):
-        up, up_ctx = upsample2(coarse)
-        fused, cat_ctx = concat_channels(f_maps[k - 1], up)
-        del up  # the conv below reads only its copy in ``fused``
-        conv_out, conv_ctx = conv2d(fused, p[f"refine{k}_w"], p[f"refine{k}_b"])
-        coarse, relu_ctx = relu(conv_out)
-        up_ctxs[k - 1] = [up_ctx, cat_ctx, conv_ctx, relu_ctx]
+        fused = record(concat_channels(f_maps[k - 1], record(upsample2(coarse))))
+        conv_out = record(conv2d(fused, p[f"refine{k}_w"], p[f"refine{k}_b"]))
+        coarse = record(relu(conv_out))
 
     # ``coarse`` is now B_1; the head reads the global average pools of B_1 and F_K.
     pooled_vec = np.concatenate([coarse.mean(axis=(2, 3)), f_maps[-1].mean(axis=(2, 3))], axis=1)
-    logits, head_ctx = dense(pooled_vec, p["head_w"], p["head_b"])
-    trace = ForwardTrace(
-        down_ctxs=down_ctxs,
-        up_ctxs=up_ctxs,
-        head_ctx=head_ctx,
-        param_shapes={name: a.shape for name, a in p.items()},
-    )
-    return Tensor(logits), trace
+    logits = record(dense(pooled_vec, p["head_w"], p["head_b"]))
+    return Tensor(logits), ForwardTrace(ctxs, {name: a.shape for name, a in p.items()})
 
 
 def backward(params, trace, d_logits):
     """Gradient of the traced forward pass for every parameter.
 
     Returns a dict with exactly the parameter names, shape for shape.
-    Each context leaves ``trace`` as its backward rule runs, and each
-    upstream gradient is dropped once consumed, so the saved arrays are
-    freed while the pass goes on and the trace holds no arrays afterwards.
+    Each context is popped off ``trace.ctxs`` as its backward rule runs,
+    and each upstream gradient is dropped once consumed, so the saved
+    arrays are freed while the pass goes on and the stack ends empty.
     A trace therefore serves exactly one backward.  Raises
     :class:`ConsistencyError` if ``trace`` was recorded with a
     differently-shaped parameter set or a backward has already used it.
     """
     if trace.param_shapes != {name: t.shape for name, t in params.items()}:
         raise ConsistencyError("trace was recorded for a different parameter set")
-    if trace.head_ctx is None:
+    ctxs = trace.ctxs
+    if not ctxs:
         raise ConsistencyError("trace was already used by a backward pass, which frees it; "
                                "run forward again")
-    stages = len(trace.down_ctxs)
-
-    # The head pooled B_1 and F_K, the outputs of the ReLUs of refine1
-    # and fwd{K}, which their contexts keep.
-    fine_shape = trace.up_ctxs[0][-1].saved["out"].shape
-    coarse_shape = trace.down_ctxs[-1][-1].saved["out"].shape
+    stages = _stage_count(params)
 
     grads = {}
-    d_pooled, grads["head_w"], grads["head_b"] = dense_backward(trace.head_ctx, d_logits.data)
-    trace.head_ctx = None
+    d_pooled, grads["head_w"], grads["head_b"] = dense_backward(ctxs.pop(), d_logits.data)
+    # The head pooled B_1 and F_K, the outputs of refine1's and fwd{K}'s
+    # ReLUs; each of those contexts is on top when its shape is read.
+    fine_shape = ctxs[-1].saved["out"].shape
     d_gap_fine = d_pooled[:, :fine_shape[1]]
     d_gap_coarse = d_pooled[:, fine_shape[1]:]
 
@@ -250,11 +239,9 @@ def backward(params, trace, d_logits):
 
     # Top-down stream in reverse application order: refine stage 1 ran
     # last, so its backward runs first; each upsample2 backward hands the
-    # gradient to the next coarser B.  Each stage's contexts are popped
-    # in reverse, so each is freed as soon as its rule returns.
+    # gradient to the next coarser B.
     d_b = _gap_backward(d_gap_fine, fine_shape)
     for k in range(1, stages):
-        ctxs = trace.up_ctxs[k - 1]
         d_conv = relu_backward(ctxs.pop(), d_b)
         del d_b
         d_fused, d_w, d_bias = conv2d_backward(ctxs.pop(), d_conv)
@@ -266,12 +253,11 @@ def backward(params, trace, d_logits):
         del d_fused, d_fk, d_up
 
     # d_b now holds the gradient into B_K = F_K; add the head's GAP path.
-    d_f[stages - 1] = d_b + _gap_backward(d_gap_coarse, coarse_shape)
+    d_f[stages - 1] = d_b + _gap_backward(d_gap_coarse, ctxs[-1].saved["out"].shape)
 
     # Bottom-up stream in reverse: stage K first, handing d(stage input)
     # down to stage K-1's output accumulator.
     for k in range(stages, 0, -1):
-        ctxs = trace.down_ctxs[k - 1]
         d_pooled = relu_backward(ctxs.pop(), d_f[k - 1])
         d_f[k - 1] = None
         d_conv = maxpool2_backward(ctxs.pop(), d_pooled)
@@ -338,10 +324,12 @@ def _kink_margin(trace, params):
     def conv_output(conv_ctx, name):
         return conv2d(conv_ctx.saved["x"], conv_ctx.saved["w"], params[f"{name}_b"].data)[0]
 
+    stages = _stage_count(params)
+    convs = [ctx for ctx in trace.ctxs if ctx.op == "conv2d"]  # fwd1..fwdK, refine{K-1}..refine1
     margin = np.inf
-    for k, (_, _, conv_ctx, _) in enumerate(trace.up_ctxs, start=1):
+    for k, conv_ctx in zip(range(stages - 1, 0, -1), convs[stages:]):
         margin = min(margin, float(np.abs(conv_output(conv_ctx, f"refine{k}")).min()))
-    for k, (conv_ctx, _, _) in enumerate(trace.down_ctxs, start=1):
+    for k, conv_ctx in enumerate(convs[:stages], start=1):
         pre = conv_output(conv_ctx, f"fwd{k}")
         margin = min(margin, float(np.abs(pre).min()))
         act = np.maximum(pre, 0.0)

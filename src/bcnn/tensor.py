@@ -7,14 +7,15 @@ and returns Tensors: ``forward`` unwraps the parameters once, and
 
 Every primitive returns its output together with an :class:`OpContext`
 holding exactly the values its backward rule needs; there is no autodiff
-graph.  A context holds arrays the forward pass computes anyway, its
-inputs or its output, or a record smaller than them.  ReLU keeps its
-output, the array it returns and the next layer reads, and recomputes its
-mask from it in backward.  Max pooling keeps each window's winner as
-booleans, 4 bytes per pooled element, not the conv output it pooled.  The
-conv keeps its input and kernel and rebuilds its im2col columns in
-backward, one image at a time.  Conventions fixed here and relied on
-everywhere else:
+graph.  ``bcnn.model.forward`` pushes the contexts onto one stack in
+application order, and ``backward`` pops them.  A context holds arrays
+the forward pass computes anyway, its inputs or its output, or a record
+smaller than them.  ReLU keeps its output, the array it returns and the
+next layer reads, and recomputes its mask from it in backward.  Max
+pooling keeps each window's winner as booleans, 4 bytes per pooled
+element, not the conv output it pooled.  The conv keeps its input and
+kernel and rebuilds its im2col columns in backward, one image at a time.
+Conventions fixed here and relied on everywhere else:
 
 - image batches are laid out ``(batch, channels, height, width)``;
 - convolution is stride-1 cross-correlation (no kernel flip) with odd
@@ -233,6 +234,7 @@ def conv2d(x, w, bias):
 
     out, _ = _correlate(_pad(x, kh // 2, kw // 2), w)
     out += bias[None, :, None, None]
+    # "x_shape" repeats x.shape because bench/tracing.py reads it to count FLOPs.
     return out, OpContext("conv2d", {"w": w, "x": x, "x_shape": x.shape})
 
 
@@ -410,7 +412,7 @@ def concat_channels(a, b):
              f"concat_channels inputs must agree on batch and spatial extents, "
              f"got {a.shape} and {b.shape}")
     out = np.concatenate([a, b], axis=1)
-    return out, OpContext("concat_channels", {"split": a.shape[1], "shapes": (a.shape, b.shape)})
+    return out, OpContext("concat_channels", {"shapes": (a.shape, b.shape)})
 
 
 def concat_channels_backward(ctx, grad_out):
@@ -418,11 +420,10 @@ def concat_channels_backward(ctx, grad_out):
     returned as views of ``grad_out``."""
     saved = _take(ctx, "concat_channels")
     shape_a, shape_b = saved["shapes"]
-    split = saved["split"]
     expected = (shape_a[0], shape_a[1] + shape_b[1]) + shape_a[2:]
     _require(grad_out.shape == expected,
              f"concat_channels upstream gradient has shape {grad_out.shape}, expected {expected}")
-    return grad_out[:, :split], grad_out[:, split:]
+    return grad_out[:, :shape_a[1]], grad_out[:, shape_a[1]:]
 
 
 # ---------------------------------------------------------------------------

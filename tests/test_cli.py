@@ -83,6 +83,25 @@ def test_augment_expands_corpus(tmp_path, corpus_dir, capsys):
     assert len((out / "manifest.csv").read_text().splitlines()) == 55
 
 
+def test_augment_is_byte_deterministic(tmp_path):
+    def run(name):
+        corpus, out = tmp_path / name / "corpus", tmp_path / name / "aug"
+        assert main(["synth", "--per-class", "2", "--size", "32", "--seed", "4",
+                     "--out", str(corpus)]) == 0
+        assert main(["augment", "--in", str(corpus), "--out", str(out),
+                     "--variants", "1", "--seed", "6"]) == 0
+        return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    a, b = run("a"), run("b")
+    assert sorted(a) == sorted(b)
+    for rel in a:
+        assert a[rel] == b[rel], rel
+    # Each class's files are numbered from 0 in manifest order, five digits wide.
+    assert len(a) == 3 * 4 + 1
+    assert {"fatigue/fatigue_00000.pgm", "linear/linear_00003.pgm",
+            "potholes/potholes_00003.pgm", "manifest.csv"} <= set(a)
+
+
 def test_augment_rejects_bad_factor_list(tmp_path, corpus_dir):
     assert main(["augment", "--in", str(corpus_dir), "--out", str(tmp_path / "x"),
                  "--scales", "abc"]) == 1

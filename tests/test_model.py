@@ -133,20 +133,24 @@ def test_forward_trace_resolution_ladder():
     config = ModelConfig()
     params = build_model(config)
     _, trace = forward(params, batch_of(np.random.default_rng(2), config, 2))
+    # The stack holds every op context in application order: fwd1..fwd3,
+    # then refine2 and refine1, then the head.
+    assert [c.op for c in trace.ctxs] == (["conv2d", "maxpool2", "relu"] * 3
+                                          + ["upsample2", "concat_channels", "conv2d", "relu"] * 2
+                                          + ["dense"])
     # F_k and B_k are the ReLU outputs of stage k's forward and refine convs
-    assert [ctxs[-1].saved["out"].shape for ctxs in trace.down_ctxs] == [
-        (2, 16, 32, 32), (2, 32, 16, 16), (2, 64, 8, 8)]
-    assert [ctxs[-1].saved["out"].shape for ctxs in trace.up_ctxs] == [
-        (2, 16, 32, 32), (2, 32, 16, 16)]
-    assert trace.head_ctx.saved["x"].shape == (2, 16 + 64)
+    assert [c.saved["out"].shape for c in trace.ctxs if c.op == "relu"] == [
+        (2, 16, 32, 32), (2, 32, 16, 16), (2, 64, 8, 8),  # F_1, F_2, F_3
+        (2, 32, 16, 16), (2, 16, 32, 32)]                 # B_2, B_1
+    assert trace.ctxs[-1].saved["x"].shape == (2, 16 + 64)
 
 
 def test_forward_trace_keeps_only_what_backward_reads():
     params = build_model(TINY)
     _, trace = forward(params, batch_of(np.random.default_rng(2), TINY, 2))
-    assert [f.name for f in dataclasses.fields(ForwardTrace)] == [
-        "down_ctxs", "up_ctxs", "head_ctx", "param_shapes"]
-    relu_ctxs = [ctxs[-1] for ctxs in trace.down_ctxs + trace.up_ctxs]
+    assert [f.name for f in dataclasses.fields(ForwardTrace)] == ["ctxs", "param_shapes"]
+    relu_ctxs = [c for c in trace.ctxs if c.op == "relu"]
+    assert len(relu_ctxs) == 2 * TINY.stages - 1
     assert all(set(ctx.saved) == {"out"} for ctx in relu_ctxs)
 
 
@@ -167,15 +171,6 @@ def _held_bytes(obj, seen):
     if hasattr(obj, "__dict__"):
         return sum(_held_bytes(v, seen) for v in vars(obj).values())
     return 0
-
-
-def test_forward_trace_of_a_default_batch_fits_in_36_mib():
-    # The trace keeps each conv's input, not its 9x im2col columns: a
-    # batch of 32 default-size images holds about 33 MiB, where keeping
-    # the columns held 61 MiB.
-    config = ModelConfig()
-    _, trace = forward(build_model(config), batch_of(np.random.default_rng(4), config, 32))
-    assert _held_bytes(trace, set()) <= 36 * 2 ** 20
 
 
 def test_forward_trace_of_a_default_batch_fits_in_20_mib():
@@ -268,6 +263,7 @@ def test_backward_leaves_no_array_in_the_trace():
     logits, trace = forward(params, batch_of(np.random.default_rng(9), TINY, 2))
     assert _held_bytes(trace, set()) > 0
     backward(params, trace, Tensor(np.ones(logits.shape, dtype=np.float32)))
+    assert trace.ctxs == []
     assert _held_bytes(trace, set()) == 0
 
 
