@@ -19,10 +19,10 @@ from .atomic import write_atomic
 from .errors import (BcnnError, ConfigError, ConsistencyError, CorpusError,
                      DimensionError)
 from .netpbm import read_image
-from .tensor import Tensor
 
 __all__ = [
     "CLASS_NAMES",
+    "MAX_INPUT_SIZE",
     "LabeledImage",
     "DatasetManifest",
     "AugmentSpec",
@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 CLASS_NAMES = ("fatigue", "linear", "potholes")
+
+# The largest image side a synthetic image or a model input may have.  At
+# 1024 a batch-1 forward peaks near 354 MiB and a 32-image trace holds
+# about 4.9 GiB, so one input file cannot ask for more than that.
+MAX_INPUT_SIZE = 1024
 
 # Pixels below this value count as distress when validating synthetic
 # images; synthetic backgrounds stay at 140 or above, distress at 95 or
@@ -554,8 +559,9 @@ def synth_generate(class_name, size, seed):
     """
     if not (isinstance(class_name, str) and class_name in CLASS_NAMES):
         raise ConfigError(f"unknown class {class_name!r}; expected one of {CLASS_NAMES}")
-    if not (_is_int(size) and size >= 32):
-        raise ConfigError(f"synthetic images must be at least 32x32, got size {size!r}")
+    if not (_is_int(size) and 32 <= size <= MAX_INPUT_SIZE):
+        raise ConfigError(f"synthetic image size must lie in [32, {MAX_INPUT_SIZE}], "
+                          f"got {size!r}")
     if not _is_int(seed) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     label = CLASS_NAMES.index(class_name)
@@ -586,7 +592,7 @@ def resize_nn(pixels, size):
 
 
 def to_batches(manifest, batch_size, shuffle_seed=None, size=None):
-    """Packs a manifest into a list of ``(Tensor, labels)`` minibatches.
+    """Packs a manifest into a list of ``(ndarray, labels)`` minibatches.
 
     Pixel values are scaled to [0, 1] float32 with a single channel axis;
     items are optionally resized to ``size`` x ``size`` and shuffled by
@@ -629,7 +635,7 @@ def to_batches(manifest, batch_size, shuffle_seed=None, size=None):
         chunk = arrays[start:start + int(batch_size)]
         x = np.stack(chunk).astype(np.float32) / np.float32(255.0)
         y = np.asarray(labels[start:start + int(batch_size)], dtype=np.int64)
-        batches.append((Tensor(x[:, None, :, :]), y))
+        batches.append((x[:, None, :, :], y))
     return batches
 
 

@@ -13,6 +13,10 @@ class DimensionError(BcnnError):
     """Array shapes are incompatible with the requested operation."""
 
 
+class DTypeError(BcnnError, TypeError):
+    """An array has a dtype the operation does not accept."""
+
+
 class ConfigError(BcnnError):
     """A configuration value or hyperparameter is out of range."""
 

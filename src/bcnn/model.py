@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _is_int, _tuple_of
+from .data import MAX_INPUT_SIZE, _is_int, _tuple_of
 from .errors import ConfigError, ConsistencyError, DimensionError, NumericError
 from .tensor import (Tensor, concat_channels, concat_channels_backward, conv2d,
                      conv2d_backward, dense, dense_backward,
@@ -48,8 +48,8 @@ class ModelConfig:
 
     The input is one grayscale channel, ``input_size`` pixels square.
     ``input_size`` must be divisible by ``2**stages`` so every pooling
-    stage sees even extents, and the cascade needs at least two stages for
-    the top-down stream to exist.
+    stage sees even extents, and at most ``MAX_INPUT_SIZE``; the cascade
+    needs at least two stages for the top-down stream to exist.
     """
 
     input_size: int = 64
@@ -77,6 +77,8 @@ class ModelConfig:
         if self.input_size < divisor or self.input_size % divisor:
             raise ConfigError(
                 f"input_size {self.input_size} is not divisible by 2^{self.stages} = {divisor}")
+        if self.input_size > MAX_INPUT_SIZE:
+            raise ConfigError(f"input_size {self.input_size} exceeds {MAX_INPUT_SIZE}")
         if not 0 <= self.seed < 2 ** 32:
             raise ConfigError(f"seed must fit an unsigned 32-bit integer, got {self.seed}")
 
@@ -210,7 +212,7 @@ def forward(params, batch):
 def backward(params, trace, d_logits):
     """Gradient of the traced forward pass for every parameter.
 
-    Returns a dict with exactly the parameter names, shape for shape.
+    Takes and returns ndarrays: a dict with exactly the parameter names, shape for shape.
     Each context is popped off ``trace.ctxs`` as its backward rule runs,
     and each upstream gradient is dropped once consumed, so the saved
     arrays are freed while the pass goes on and the stack ends empty.
@@ -227,7 +229,7 @@ def backward(params, trace, d_logits):
     stages = _stage_count(params)
 
     grads = {}
-    d_pooled, grads["head_w"], grads["head_b"] = dense_backward(ctxs.pop(), d_logits.data)
+    d_pooled, grads["head_w"], grads["head_b"] = dense_backward(ctxs.pop(), d_logits)
     # The head pooled B_1 and F_K, the outputs of refine1's and fwd{K}'s
     # ReLUs; each of those contexts is on top when its shape is read.
     fine_shape = ctxs[-1].saved["out"].shape
@@ -266,21 +268,20 @@ def backward(params, trace, d_logits):
         grads[f"fwd{k}_w"], grads[f"fwd{k}_b"] = d_w, d_bias
         if k > 1:
             d_f[k - 2] += d_input
-    return {name: Tensor(g) for name, g in grads.items()}
+    return grads
 
 
 def softmax_xent(logits, targets):
-    """Mean softmax cross-entropy over a batch of logits.
+    """Mean softmax cross-entropy over a batch of logits, an ndarray.
 
-    Returns ``(loss, d_logits)`` where ``d_logits`` is a Tensor holding
-    the gradient of the mean loss, i.e. ``(softmax - onehot) / batch``.
+    Returns ``(loss, d_logits)`` where the ndarray ``d_logits`` is the
+    gradient of the mean loss, i.e. ``(softmax - onehot) / batch``.
     Probabilities are computed with the max subtracted per row, so large
     logits do not overflow.
     """
-    z = logits.data
-    if z.ndim != 2:
-        raise DimensionError(f"softmax_xent logits must be rank 2, got rank {z.ndim}")
-    batch, classes = z.shape
+    if logits.ndim != 2:
+        raise DimensionError(f"softmax_xent logits must be rank 2, got rank {logits.ndim}")
+    batch, classes = logits.shape
     if classes < 2:
         raise DimensionError(f"softmax_xent needs at least 2 classes, got {classes}")
     t = np.asarray(targets)
@@ -293,7 +294,7 @@ def softmax_xent(logits, targets):
         bad = int(t[(t < 0) | (t >= classes)][0])
         raise ConsistencyError(f"target label {bad} outside [0, {classes})")
 
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     denom = exp.sum(axis=1, keepdims=True)
     log_p = shifted - np.log(denom)
@@ -304,7 +305,7 @@ def softmax_xent(logits, targets):
     d_logits = exp / denom
     d_logits[rows, t] -= 1
     d_logits /= batch
-    return loss, Tensor(d_logits.astype(z.dtype, copy=False))
+    return loss, d_logits.astype(logits.dtype, copy=False)
 
 
 def _kink_margin(trace, params):
@@ -384,15 +385,15 @@ def full_model_gradcheck(seed=0):
         raise NumericError(f"no input with kink margin >= {_GRADCHECK_MARGIN} found in "
                            f"{_GRADCHECK_ATTEMPTS} attempts")
 
-    _, d_logits = softmax_xent(logits, y)
+    _, d_logits = softmax_xent(logits.data, y)
     grads = backward(params, trace, d_logits)
 
     def loss_now(_array):
         out, _ = forward(params, x)
-        return softmax_xent(out, y)[0]
+        return softmax_xent(out.data, y)[0]
 
     errors = {}
     for name in params:
-        errors[name] = finite_diff_gradcheck(loss_now, params[name].data, grads[name].data,
+        errors[name] = finite_diff_gradcheck(loss_now, params[name].data, grads[name],
                                              h=_GRADCHECK_H)
     return errors

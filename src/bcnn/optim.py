@@ -1,8 +1,9 @@
 """Adam and plain SGD over named parameter sets.
 
-Updates are applied in place.  Every gradient is validated (names, shapes,
-finiteness) before any parameter is touched, so a rejected step leaves the
-model exactly as it was.
+Parameters are Tensors, updated in place through ``.data``; gradients and
+the Adam moments are plain ndarrays.  Every gradient is validated (names,
+shapes, finiteness) before any parameter is touched, so a rejected step
+leaves the model exactly as it was.
 """
 
 from dataclasses import dataclass, field
@@ -11,7 +12,6 @@ import numpy as np
 
 from .data import _finite_float
 from .errors import ConfigError, UpdateError
-from .tensor import Tensor
 
 __all__ = ["AdamState", "adam_init", "adam_step", "sgd_step"]
 
@@ -43,8 +43,8 @@ def adam_init(params, lr=1e-3):
     """Fresh Adam state with zeroed moments mirroring ``params``."""
     state = AdamState(lr=_learning_rate(lr))
     for name, p in params.items():
-        state.m[name] = Tensor(np.zeros(p.shape, dtype=p.dtype))
-        state.v[name] = Tensor(np.zeros(p.shape, dtype=p.dtype))
+        state.m[name] = np.zeros_like(p.data)
+        state.v[name] = np.zeros_like(p.data)
     return state
 
 
@@ -61,7 +61,7 @@ def _validate_grads(params, grads, mirrors=()):
         if tuple(g.shape) != tuple(p.shape):
             raise UpdateError(
                 f"gradient for '{name}' has shape {tuple(g.shape)}, expected {tuple(p.shape)}")
-        if not np.isfinite(g.data).all():
+        if not np.isfinite(g).all():
             raise UpdateError(f"gradient for '{name}' contains non-finite values")
         if any(name not in m or tuple(m[name].shape) != tuple(p.shape) for m in mirrors):
             raise UpdateError(f"optimizer state does not mirror parameter '{name}'")
@@ -81,9 +81,7 @@ def adam_step(state, params, grads):
     bc1 = 1.0 - _BETA1 ** state.t
     bc2 = 1.0 - _BETA2 ** state.t
     for name, p in params.items():
-        g = grads[name].data
-        m = state.m[name].data
-        v = state.v[name].data
+        g, m, v = grads[name], state.m[name], state.v[name]
         m *= _BETA1
         m += (1.0 - _BETA1) * g
         v *= _BETA2
@@ -99,5 +97,5 @@ def sgd_step(params, grads, lr):
     rate = _learning_rate(lr)
     _validate_grads(params, grads)
     for name, p in params.items():
-        p.data -= rate * grads[name].data
+        p.data -= rate * grads[name]
     return params

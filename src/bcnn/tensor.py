@@ -1,9 +1,9 @@
 """The model API's :class:`Tensor` and the differentiable primitives.
 
 The primitives and the finite-difference harness take and return plain
-ndarrays; nothing here wraps or unwraps a Tensor.  ``bcnn.model`` takes
-and returns Tensors: ``forward`` unwraps the parameters once, and
-``backward`` wraps its gradients once.
+ndarrays.  A Tensor holds only the parameters, the batch that
+``bcnn.model.forward`` takes and the logits it returns; gradients, the
+loss, optimizer state and ``to_batches``' batches are plain ndarrays.
 
 Every primitive returns its output together with an :class:`OpContext`
 holding exactly the values its backward rule needs; there is no autodiff
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DimensionError, NumericError
+from .errors import ConsistencyError, DimensionError, DTypeError, NumericError
 
 __all__ = [
     "Tensor",
@@ -76,8 +76,8 @@ class Tensor:
         if dtype is None:
             dtype = data.dtype if isinstance(data, np.ndarray) else np.float32
         if np.dtype(dtype) not in _ALLOWED_DTYPES:
-            raise TypeError(f"tensor dtype must be float32 or float64, got {np.dtype(dtype)}; "
-                            f"pass dtype= to convert an array explicitly")
+            raise DTypeError(f"tensor dtype must be float32 or float64, got {np.dtype(dtype)}; "
+                             f"pass dtype= to convert an array explicitly")
         # ascontiguousarray promotes 0-d scalars to rank 1; rank-check first
         ndim = np.asarray(data).ndim
         if not 1 <= ndim <= 4:
@@ -90,13 +90,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name})"
 
 
 @dataclass

@@ -157,8 +157,8 @@ def _halves(n):
 def _sharded_forward(run, params, x):
     """The whole batch's logits, the shards, and each shard's trace."""
     shards = _halves(x.shape[0])
-    outs = run(lambda s: forward(params, Tensor(x.data[s])), shards)
-    logits = Tensor(np.concatenate([shard_logits.data for shard_logits, _ in outs]))
+    outs = run(lambda s: forward(params, Tensor(x[s])), shards)
+    logits = np.concatenate([shard_logits.data for shard_logits, _ in outs])
     return logits, shards, [trace for _, trace in outs]
 
 
@@ -168,10 +168,8 @@ def _sharded_gradients(run, params, x, y):
     added in shard order.  The traces are freed on return."""
     logits, shards, traces = _sharded_forward(run, params, x)
     _, d_logits = softmax_xent(logits, y)
-    parts = run(lambda i: backward(params, traces[i], Tensor(d_logits.data[shards[i]])),
-                range(len(shards)))
-    return {name: Tensor(functools.reduce(np.add, (part[name].data for part in parts)))
-            for name in parts[0]}
+    parts = run(lambda i: backward(params, traces[i], d_logits[shards[i]]), range(len(shards)))
+    return {name: functools.reduce(np.add, (part[name] for part in parts)) for name in parts[0]}
 
 
 def _epoch_metrics(run, params, manifest, batch_size, size, where):
@@ -185,7 +183,7 @@ def _epoch_metrics(run, params, manifest, batch_size, size, where):
             raise TrainingError(f"non-finite loss during {where}: {exc}") from exc
         n = len(y)
         total_loss += loss * n
-        correct += int((np.argmax(logits.data, axis=1) == y).sum())
+        correct += int((np.argmax(logits, axis=1) == y).sum())
         seen += n
     return total_loss / seen, correct / seen
 
@@ -256,7 +254,7 @@ def evaluate(params, manifest, batch_size=32, input_size=None):
     with _shard_runner() as run:
         for x, y in to_batches(manifest, batch_size, shuffle_seed=None, size=input_size):
             logits = _sharded_forward(run, params, x)[0]
-            cm.accumulate(y, np.argmax(logits.data, axis=1))
+            cm.accumulate(y, np.argmax(logits, axis=1))
     return cm, report_from_matrix(cm)
 
 

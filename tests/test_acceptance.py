@@ -209,11 +209,11 @@ def _per_op_gradcheck_errors():
     sweep("dense", lambda: dense(dx, dw, db),
           lambda ctx, u: dense_backward(ctx, u), (dx, dw, db))
 
-    logits = Tensor(rng.standard_normal((4, 3)))
+    logits = rng.standard_normal((4, 3))
     targets = np.array([0, 2, 1, 1])
     _, d_logits = softmax_xent(logits, targets)
     errors["softmax_xent"] = finite_diff_gradcheck(
-        lambda _q: softmax_xent(logits, targets)[0], logits.data, d_logits.data)
+        lambda _q: softmax_xent(logits, targets)[0], logits, d_logits)
     return errors
 
 

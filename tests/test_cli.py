@@ -12,7 +12,7 @@ import pytest
 import bcnn
 import bcnn.cli
 from bcnn.cli import main
-from bcnn.data import CLASS_NAMES
+from bcnn.data import CLASS_NAMES, MAX_INPUT_SIZE
 from bcnn.train import load_checkpoint
 
 SIZE = 32
@@ -310,6 +310,16 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert "usage error:" in capsys.readouterr().err
 
 
+def test_size_above_the_bound_exits_1(tmp_path, capsys):
+    too_big = str(MAX_INPUT_SIZE + 8)
+    assert main(["synth", "--out", str(tmp_path / "c"), "--per-class", "1",
+                 "--size", too_big]) == 1
+    assert "usage error:" in capsys.readouterr().err
+    # the model config is checked before the data directory is touched
+    assert main(["train", "--data", str(tmp_path / "missing"), "--size", too_big]) == 1
+    assert "usage error:" in capsys.readouterr().err
+
+
 def test_train_rejects_non_finite_lr_exit_1(corpus_dir, capsys):
     for lr in ("inf", "nan"):
         assert main(["train", "--data", str(corpus_dir), "--size", str(SIZE),
@@ -334,7 +344,7 @@ def test_predict_rejects_corrupt_checkpoint_exit_2(tmp_path, corpus_dir, run_dir
     name = good.index(b"fwd1_w")
     bad_name = tmp_path / "bad_name.bcnn"
     bad_name.write_bytes(good[:name] + b"\xff" + good[name + 1:])
-    # A 2^21 input size loads, then resizing to it asks for a 4 TiB image.
+    # A 2^21 input size is above MAX_INPUT_SIZE, so the checkpoint does not load.
     huge_size = tmp_path / "huge_size.bcnn"
     huge_size.write_bytes(good[:8] + struct.pack("<I", 2 ** 21) + good[12:])
     image = corpus_dir / "fatigue" / "fatigue_0000.pgm"

@@ -15,6 +15,7 @@ from scipy import ndimage
 from bcnn.data import (
     CLASS_NAMES,
     DARK_THRESHOLD,
+    MAX_INPUT_SIZE,
     AugmentSpec,
     DatasetManifest,
     LabeledImage,
@@ -536,6 +537,11 @@ def test_synth_signatures_hold_across_100_seeds():
         assert count == 1
 
 
+def test_synth_generate_bounds_the_size():
+    with pytest.raises(ConfigError, match=str(MAX_INPUT_SIZE)):
+        synth_generate("linear", MAX_INPUT_SIZE + 1, 0)
+
+
 def test_synth_validation():
     with pytest.raises(ConfigError):
         synth_generate("rutting", 32, 0)
@@ -744,8 +750,8 @@ def test_to_batches_normalization_endpoints():
     manifest = DatasetManifest(["a", "b"], items)
     (x, y), = to_batches(manifest, 2)
     assert x.dtype == np.float32
-    assert float(x.data[0].max()) == 0.0
-    assert float(x.data[1].min()) == 1.0
+    assert float(x[0].max()) == 0.0
+    assert float(x[1].min()) == 1.0
     assert np.array_equal(y, np.array([0, 1]))
 
 

@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcnn.cli import main
-from bcnn.data import (CLASS_NAMES, AugmentSpec, DatasetManifest, LabeledImage, stratified_split,
-                       synth_generate, to_batches)
+from bcnn.data import (CLASS_NAMES, MAX_INPUT_SIZE, AugmentSpec, DatasetManifest, LabeledImage,
+                       stratified_split, synth_generate, to_batches)
 from bcnn.errors import BcnnError
 from bcnn.model import ModelConfig, build_model
 from bcnn.netpbm import read_image, write_pgm
@@ -172,7 +172,9 @@ _SEEDS = _VALUE | st.sampled_from(_PLAUSIBLE["seed"])
 _DATA_CALLS = {
     "synth_generate": (synth_generate, {
         "class_name": _VALUE | st.sampled_from(CLASS_NAMES + ("rutting", "Linear")),
-        "size": (_VALUE | st.sampled_from((32, 40, 96, 31, 0, -1))).filter(at_most(96)),
+        # sizes above the bound are rejected before anything is drawn
+        "size": (_VALUE | st.sampled_from((32, 40, 96, 31, 0, -1, MAX_INPUT_SIZE + 1)))
+        .filter(lambda v: at_most(96)(v) or v > MAX_INPUT_SIZE),
         "seed": _SEEDS}),
     "to_batches": (lambda **kw: to_batches(_MANIFEST, **kw), {
         "batch_size": _VALUE | st.sampled_from(_PLAUSIBLE["batch_size"]),

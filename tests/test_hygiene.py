@@ -43,6 +43,17 @@ def test_exports_exist_and_imports_are_used(path):
     assert sorted(imported - used) == []
 
 
+@pytest.mark.parametrize("name", ["data.py", "optim.py"])
+def test_module_does_not_import_the_tensor_module(name):
+    # Batches, gradients and optimizer state are plain ndarrays.
+    path = Path(bcnn.__file__).parent / name
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = [f"{n.module or ''}.{a.name}" for n in ast.walk(tree)
+               if isinstance(n, ast.ImportFrom) for a in n.names]
+    modules += [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    assert [m for m in modules if "tensor" in m.split(".")] == []
+
+
 def test_tensor_module_neither_wraps_nor_unwraps_outside_the_class():
     # The primitives take and return ndarrays; Tensors are built and opened
     # only where arrays enter or leave the model API.

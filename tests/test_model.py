@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bcnn.model
+from bcnn.data import MAX_INPUT_SIZE
 from bcnn.errors import ConfigError, ConsistencyError, DimensionError
 from bcnn.model import (
     ForwardTrace,
@@ -68,6 +69,13 @@ def test_config_validation():
         ModelConfig(seed=-1)
     with pytest.raises(ConfigError):
         ModelConfig(seed=2 ** 32)
+
+
+def test_config_bounds_input_size():
+    assert ModelConfig(input_size=MAX_INPUT_SIZE).input_size == MAX_INPUT_SIZE
+    # divisible by 2^3, so only the bound rejects it
+    with pytest.raises(ConfigError, match="exceeds"):
+        ModelConfig(input_size=MAX_INPUT_SIZE + 8)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -220,17 +228,17 @@ def test_forward_names_each_missing_tensor_of_the_cascade():
 def test_backward_zero_upstream_gives_zero_gradients():
     params = build_model(TINY)
     _, trace = forward(params, batch_of(np.random.default_rng(4), TINY, 2))
-    grads = backward(params, trace, Tensor(np.zeros((2, 3), dtype=np.float32)))
+    grads = backward(params, trace, np.zeros((2, 3), dtype=np.float32))
     assert set(grads) == set(params)
     for g in grads.values():
-        assert float(np.abs(g.data).max()) == 0.0
+        assert float(np.abs(g).max()) == 0.0
 
 
 def test_backward_gradient_shapes_match_parameters():
     params = build_model(TINY)
     logits, trace = forward(params, batch_of(np.random.default_rng(5), TINY, 2))
-    grads = backward(params, trace, Tensor(np.random.default_rng(6).random(logits.shape,
-                                                                           dtype=np.float32)))
+    grads = backward(params, trace, np.random.default_rng(6).random(logits.shape,
+                                                                    dtype=np.float32))
     for name, p in params.items():
         assert grads[name].shape == p.shape
 
@@ -242,7 +250,7 @@ def test_backward_skips_only_the_first_input_gradient(monkeypatch):
     rng = np.random.default_rng(8)
     x = batch_of(rng, TINY, 3)
     logits, trace = forward(params, x)
-    upstream = Tensor(rng.standard_normal(logits.shape).astype(np.float32))
+    upstream = rng.standard_normal(logits.shape).astype(np.float32)
     grads = backward(params, trace, upstream)
     skipped = []
 
@@ -255,14 +263,14 @@ def test_backward_skips_only_the_first_input_gradient(monkeypatch):
     full_grads = backward(params, trace, upstream)
     assert skipped == [False, False, True]  # refine1, fwd2, fwd1
     for name in params:
-        assert np.array_equal(grads[name].data, full_grads[name].data), name
+        assert np.array_equal(grads[name], full_grads[name]), name
 
 
 def test_backward_leaves_no_array_in_the_trace():
     params = build_model(TINY)
     logits, trace = forward(params, batch_of(np.random.default_rng(9), TINY, 2))
     assert _held_bytes(trace, set()) > 0
-    backward(params, trace, Tensor(np.ones(logits.shape, dtype=np.float32)))
+    backward(params, trace, np.ones(logits.shape, dtype=np.float32))
     assert trace.ctxs == []
     assert _held_bytes(trace, set()) == 0
 
@@ -270,7 +278,7 @@ def test_backward_leaves_no_array_in_the_trace():
 def test_backward_refuses_a_used_trace():
     params = build_model(TINY)
     logits, trace = forward(params, batch_of(np.random.default_rng(9), TINY, 2))
-    upstream = Tensor(np.ones(logits.shape, dtype=np.float32))
+    upstream = np.ones(logits.shape, dtype=np.float32)
     backward(params, trace, upstream)
     with pytest.raises(ConsistencyError, match="already used"):
         backward(params, trace, upstream)
@@ -288,7 +296,7 @@ def test_backward_peak_memory_of_a_default_half_stays_under_26_mib():
     try:
         base = tracemalloc.get_traced_memory()[0]
         logits, trace = forward(params, x)
-        _, d_logits = softmax_xent(logits, rng.integers(0, config.classes, size=16))
+        _, d_logits = softmax_xent(logits.data, rng.integers(0, config.classes, size=16))
         tracemalloc.reset_peak()
         backward(params, trace, d_logits)
         peak = tracemalloc.get_traced_memory()[1] - base
@@ -302,11 +310,11 @@ def test_backward_rejects_foreign_trace():
     _, trace = forward(params, batch_of(np.random.default_rng(7), TINY, 2))
     other = build_model(ModelConfig(input_size=8, stages=2, channels=(4, 5), classes=3))
     with pytest.raises(ConsistencyError):
-        backward(other, trace, Tensor(np.zeros((2, 3), dtype=np.float32)))
+        backward(other, trace, np.zeros((2, 3), dtype=np.float32))
     renamed = dict(params)
     renamed["extra_w"] = renamed.pop("fwd1_w")
     with pytest.raises(ConsistencyError):
-        backward(renamed, trace, Tensor(np.zeros((2, 3), dtype=np.float32)))
+        backward(renamed, trace, np.zeros((2, 3), dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------

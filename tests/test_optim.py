@@ -16,7 +16,7 @@ def scalar(value):
 
 
 def grad(value):
-    return {"w": Tensor(np.array([value]), dtype=np.float64)}
+    return {"w": np.array([value], dtype=np.float64)}
 
 
 # ---------------------------------------------------------------------------
@@ -32,8 +32,8 @@ def test_adam_init_zero_moments_and_counter():
     for name, p in params.items():
         assert state.m[name].shape == p.shape
         assert state.v[name].shape == p.shape
-        assert float(np.abs(state.m[name].data).max()) == 0.0
-        assert float(np.abs(state.v[name].data).max()) == 0.0
+        assert float(np.abs(state.m[name]).max()) == 0.0
+        assert float(np.abs(state.v[name]).max()) == 0.0
 
 
 def test_adam_init_rejects_bad_hyperparameters():
@@ -111,7 +111,7 @@ def test_adam_quadratic_smoke():
     params = scalar(1.0)
     state = adam_init(params)
     for step in range(1, 2001):
-        adam_step(state, params, {"w": Tensor(params["w"].data.copy(), dtype=np.float64)})
+        adam_step(state, params, {"w": params["w"].data.copy()})
         if abs(float(params["w"].data[0])) < 0.1:
             break
     assert abs(float(params["w"].data[0])) < 0.1
@@ -122,23 +122,23 @@ def test_adam_rejections_leave_everything_untouched():
     params = {"a": Tensor(np.arange(1.0, 5.0).reshape(2, 2), dtype=np.float64),
               "b": Tensor(np.array([7.0]), dtype=np.float64)}
     state = adam_init(params)
-    adam_step(state, params, {"a": Tensor(np.zeros((2, 2), dtype=np.float64)),
-                              "b": Tensor(np.zeros((1,), dtype=np.float64))})
+    adam_step(state, params, {"a": np.zeros((2, 2), dtype=np.float64),
+                              "b": np.zeros((1,), dtype=np.float64)})
     snapshot = {n: p.data.copy() for n, p in params.items()}
-    m_snap = {n: t.data.copy() for n, t in state.m.items()}
+    m_snap = {n: m.copy() for n, m in state.m.items()}
 
-    bad_shape = {"a": Tensor(np.zeros((2, 2), dtype=np.float64)),
-                 "b": Tensor(np.zeros((3,), dtype=np.float64))}
-    bad_names = {"a": Tensor(np.zeros((2, 2), dtype=np.float64))}
-    bad_values = {"a": Tensor(np.full((2, 2), np.nan)),
-                  "b": Tensor(np.zeros((1,), dtype=np.float64))}
+    bad_shape = {"a": np.zeros((2, 2), dtype=np.float64),
+                 "b": np.zeros((3,), dtype=np.float64)}
+    bad_names = {"a": np.zeros((2, 2), dtype=np.float64)}
+    bad_values = {"a": np.full((2, 2), np.nan),
+                  "b": np.zeros((1,), dtype=np.float64)}
     for bad in (bad_shape, bad_names, bad_values):
         with pytest.raises(UpdateError):
             adam_step(state, params, bad)
         assert state.t == 1
         for name in params:
             assert np.array_equal(params[name].data, snapshot[name])
-            assert np.array_equal(state.m[name].data, m_snap[name])
+            assert np.array_equal(state.m[name], m_snap[name])
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ def test_sgd_numpy_scalar_lr_matches_python_float():
     # promote the float32 update to float64 and round it differently.
     rng = np.random.default_rng(0)
     w = rng.standard_normal(1000).astype(np.float32)
-    g = {"w": Tensor(rng.standard_normal(1000).astype(np.float32))}
+    g = {"w": rng.standard_normal(1000).astype(np.float32)}
     a, b = {"w": Tensor(w.copy())}, {"w": Tensor(w.copy())}
     sgd_step(a, g, 0.1)
     sgd_step(b, g, np.float64(0.1))
@@ -185,5 +185,5 @@ def test_sgd_rejects_bad_lr_and_bad_grads():
     with pytest.raises(ConfigError):
         sgd_step(params, grad(1.0), lr=math.inf)
     with pytest.raises(UpdateError):
-        sgd_step(params, {"w": Tensor(np.full((2,), np.inf))}, lr=0.1)
+        sgd_step(params, {"w": np.full((2,), np.inf)}, lr=0.1)
     assert float(params["w"].data[0]) == 1.0

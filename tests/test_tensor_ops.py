@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcnn.errors import ConsistencyError, DimensionError, NumericError
+from bcnn.errors import BcnnError, ConsistencyError, DimensionError, DTypeError, NumericError
 from bcnn.model import softmax_xent
 from bcnn.tensor import (
     Tensor,
@@ -66,9 +66,15 @@ def test_tensor_rejects_integer_dtype():
         Tensor(np.ones((2, 2), dtype=np.int64))
 
 
+def test_tensor_dtype_error_is_a_bcnn_error_and_a_type_error():
+    with pytest.raises(DTypeError) as err:
+        Tensor(np.ones((2, 2), dtype=np.int32))
+    assert isinstance(err.value, BcnnError) and isinstance(err.value, TypeError)
+
+
 def test_tensor_default_dtype_is_float32():
-    assert Tensor([1.0, 2.0]).dtype == np.float32
-    assert Tensor(np.ones(3, dtype=np.float64)).dtype == np.float64
+    assert Tensor([1.0, 2.0]).data.dtype == np.float32
+    assert Tensor(np.ones(3, dtype=np.float64)).data.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -379,48 +385,48 @@ def test_dense_backward_bias_is_column_sum():
 
 
 def test_softmax_xent_uniform_logits_loss_is_ln3():
-    loss, _ = softmax_xent(Tensor(t([[0.0, 0.0, 0.0]])), np.array([0]))
+    loss, _ = softmax_xent(t([[0.0, 0.0, 0.0]]), np.array([0]))
     assert abs(loss - math.log(3.0)) < 1e-12
 
 
 def test_softmax_xent_saturated_correct_class():
-    loss, _ = softmax_xent(Tensor(t([[1000.0, 0.0, 0.0]])), np.array([0]))
+    loss, _ = softmax_xent(t([[1000.0, 0.0, 0.0]]), np.array([0]))
     assert 0.0 <= loss < 1e-9
 
 
 def test_softmax_xent_uniform_gradient():
-    _, grad = softmax_xent(Tensor(t([[0.0, 0.0, 0.0]])), np.array([0]))
+    _, grad = softmax_xent(t([[0.0, 0.0, 0.0]]), np.array([0]))
     want = np.array([[-2.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]])
-    assert float(np.abs(grad.data - want).max()) < 1e-12
+    assert float(np.abs(grad - want).max()) < 1e-12
 
 
 def test_softmax_xent_shift_invariance():
     rng = np.random.default_rng(13)
     logits = rng.random((4, 3)) * 5.0
     y = np.array([0, 2, 1, 1])
-    base, _ = softmax_xent(Tensor(t(logits)), y)
-    shifted, _ = softmax_xent(Tensor(t(logits + rng.random((4, 1)) * 100.0)), y)
+    base, _ = softmax_xent(t(logits), y)
+    shifted, _ = softmax_xent(t(logits + rng.random((4, 1)) * 100.0), y)
     assert abs(base - shifted) < 1e-6
 
 
 def test_softmax_xent_gradient_rows_sum_to_zero():
     rng = np.random.default_rng(14)
-    _, grad = softmax_xent(Tensor(t(rng.random((5, 4)))), np.array([0, 1, 2, 3, 0]))
-    assert float(np.abs(grad.data.sum(axis=1)).max()) < 1e-12
+    _, grad = softmax_xent(t(rng.random((5, 4))), np.array([0, 1, 2, 3, 0]))
+    assert float(np.abs(grad.sum(axis=1)).max()) < 1e-12
 
 
 def test_softmax_xent_out_of_range_target():
     with pytest.raises(ConsistencyError):
-        softmax_xent(Tensor(t([[0.0, 0.0, 0.0]])), np.array([3]))
+        softmax_xent(t([[0.0, 0.0, 0.0]]), np.array([3]))
     with pytest.raises(ConsistencyError):
-        softmax_xent(Tensor(t([[0.0, 0.0, 0.0]])), np.array([-1]))
+        softmax_xent(t([[0.0, 0.0, 0.0]]), np.array([-1]))
 
 
 def test_softmax_xent_rejects_bad_targets():
     with pytest.raises(DimensionError):
-        softmax_xent(Tensor(t([[0.0, 0.0], [0.0, 0.0]])), np.array([0]))
+        softmax_xent(t([[0.0, 0.0], [0.0, 0.0]]), np.array([0]))
     with pytest.raises(DimensionError):
-        softmax_xent(Tensor(t([[0.0, 0.0]])), np.array([0.5]))
+        softmax_xent(t([[0.0, 0.0]]), np.array([0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -771,14 +777,14 @@ def test_gradcheck_dense_all_arguments():
 
 def test_gradcheck_softmax_xent():
     rng = np.random.default_rng(26)
-    logits = Tensor(rng.standard_normal((3, 4)))
+    logits = rng.standard_normal((3, 4))
     y = np.array([0, 1, 3])
     _, grad = softmax_xent(logits, y)
 
     def f(_q):
         return softmax_xent(logits, y)[0]
 
-    assert finite_diff_gradcheck(f, logits.data, grad.data) < TOL
+    assert finite_diff_gradcheck(f, logits, grad) < TOL
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from bcnn.errors import (
     VersionError,
 )
 from bcnn.model import ModelConfig, backward, build_model, forward, softmax_xent
+from bcnn.optim import adam_init
 from bcnn.tensor import Tensor
 from bcnn.train import (
     CHECKPOINT_MAGIC,
@@ -229,8 +230,8 @@ def _unsharded_metrics(params, manifest, batch_size):
     """What train() reports, from whole-batch forwards."""
     total_loss, correct, seen = 0.0, 0, 0
     for x, y in to_batches(manifest, batch_size, shuffle_seed=None, size=32):
-        logits, _ = forward(params, x)
-        loss, _ = softmax_xent(logits, y)
+        logits, _ = forward(params, Tensor(x))
+        loss, _ = softmax_xent(logits.data, y)
         total_loss += loss * len(y)
         correct += int((np.argmax(logits.data, axis=1) == y).sum())
         seen += len(y)
@@ -249,7 +250,8 @@ def test_sharding_leaves_metrics_and_confusion_matrix_unchanged(corpus, batch_si
     with bcnn.train._shard_runner():
         val = _unsharded_metrics(params, val_m, batch_size)
         trn = _unsharded_metrics(params, train_m, batch_size)
-        predicted = np.concatenate([np.argmax(forward(params, x)[0].data, axis=1) for x, _ in
+        predicted = np.concatenate([np.argmax(forward(params, Tensor(x))[0].data, axis=1)
+                                    for x, _ in
                                     to_batches(corpus, batch_size, shuffle_seed=None, size=32)])
     assert (records[-1].val_loss, records[-1].val_acc) == val
     assert (records[-1].train_loss, records[-1].train_acc) == trn
@@ -264,15 +266,26 @@ def test_sharding_leaves_metrics_and_confusion_matrix_unchanged(corpus, batch_si
 def test_sharded_gradients_match_the_whole_batch_gradients(batch):
     params = build_model(MODEL)
     rng = np.random.default_rng(batch)
-    x = Tensor(rng.random((batch, 1, 32, 32), dtype=np.float32))
+    x = rng.random((batch, 1, 32, 32), dtype=np.float32)
     y = rng.integers(0, 3, batch)
-    logits, trace = forward(params, x)
-    whole = backward(params, trace, softmax_xent(logits, y)[1])
+    logits, trace = forward(params, Tensor(x))
+    whole = backward(params, trace, softmax_xent(logits.data, y)[1])
     with bcnn.train._shard_runner() as run:
         sharded = bcnn.train._sharded_gradients(run, params, x, y)
     assert list(sharded) == list(whole)
     for name, grad in whole.items():
-        np.testing.assert_allclose(sharded[name].data, grad.data, rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(sharded[name], grad, rtol=1e-5, atol=1e-7)
+
+
+def test_gradients_loss_gradient_moments_and_batches_are_ndarrays(corpus):
+    params = build_model(MODEL)
+    x, y = to_batches(corpus, 4, size=32)[0]
+    logits, trace = forward(params, Tensor(x))
+    _, d_logits = softmax_xent(logits.data, y)
+    grads = backward(params, trace, d_logits)
+    state = adam_init(params)
+    arrays = [x, d_logits, *grads.values(), *state.m.values(), *state.v.values()]
+    assert all(type(a) is np.ndarray for a in arrays)
 
 
 def _blas_threads():
@@ -402,6 +415,17 @@ def test_checkpoint_rejects_corruption(tmp_path):
     trailing.write_bytes(good + b"junk")
     with pytest.raises(IntegrityError):
         load_checkpoint(trailing)
+
+
+def test_checkpoint_rejects_an_input_size_above_the_bound(tmp_path):
+    # A few hundred bytes must not make predict allocate a 4 GiB input.
+    config = ModelConfig(input_size=32, stages=2, channels=(1, 1), classes=2)
+    path = tmp_path / "small.bcnn"
+    save_checkpoint(path, Checkpoint(1, config, build_model(config)))
+    good = path.read_bytes()
+    path.write_bytes(good[:8] + struct.pack("<I", 32768) + good[12:])
+    with pytest.raises(IntegrityError, match="exceeds"):
+        load_checkpoint(path)
 
 
 def _saved_checkpoint(tmp_path):
