@@ -4,7 +4,9 @@ import contextlib
 import os
 from pathlib import Path
 
-__all__ = ["write_atomic"]
+from .errors import CorpusError
+
+__all__ = ["write_atomic", "check_csv_field", "write_csv"]
 
 
 def write_atomic(path, data):
@@ -26,3 +28,20 @@ def write_atomic(path, data):
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def check_csv_field(text):
+    """Raises :class:`CorpusError` if ``text`` holds a comma, a double
+    quote, CR or LF, which an unquoted CSV field cannot hold."""
+    if any(c in text for c in ',"\r\n'):
+        raise CorpusError(f"{text!r} cannot be a CSV field: it holds a comma, quote, CR or LF")
+
+
+def write_csv(path, rows):
+    """Writes ``rows``, each a sequence of strings, with :func:`write_atomic`
+    as unquoted UTF-8 CSV with LF line ends.  Every field is checked with
+    :func:`check_csv_field` before anything is written."""
+    for row in rows:
+        for field in row:
+            check_csv_field(field)
+    write_atomic(path, "".join(",".join(row) + "\n" for row in rows).encode("utf-8"))

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import check_csv_field
 from .data import (CLASS_NAMES, AugmentSpec, DatasetManifest, augment_dataset,
                    load_dataset, resize_nn, synth_generate, write_manifest_csv)
 from .errors import BcnnError, ConfigError
@@ -126,7 +127,11 @@ def _class_names(config):
 
 def _write_corpus(out, manifest, digits):
     """Writes each image to ``out/<class>/<class>_<n>.pgm``, n counted per class
-    from 0 in manifest order and zero-padded to ``digits``, then the manifest."""
+    from 0 in manifest order and zero-padded to ``digits``, then the manifest.
+    A class name that the manifest CSV cannot hold is refused before any
+    file is written."""
+    for cls in manifest.class_names:
+        check_csv_field(cls)
     written = [0] * len(manifest.class_names)
     for item in manifest.items:
         cls = manifest.class_names[item.label]

@@ -15,9 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import write_atomic
-from .errors import (BcnnError, ConfigError, ConsistencyError, CorpusError,
-                     DimensionError)
+from .atomic import write_csv
+from .errors import BcnnError, ConfigError, ConsistencyError, CorpusError
 from .netpbm import read_image
 
 __all__ = [
@@ -591,11 +590,12 @@ def resize_nn(pixels, size):
     return np.ascontiguousarray(pixels[src_r[:, None], src_c[None, :]])
 
 
-def to_batches(manifest, batch_size, shuffle_seed=None, size=None):
+def to_batches(manifest, batch_size, shuffle_seed=None, *, size):
     """Packs a manifest into a list of ``(ndarray, labels)`` minibatches.
 
-    Pixel values are scaled to [0, 1] float32 with a single channel axis;
-    items are optionally resized to ``size`` x ``size`` and shuffled by
+    Every image is resized to ``size`` x ``size`` by :func:`resize_nn`,
+    and its pixel values are scaled to [0, 1] float32 with a single
+    channel axis; the labels are int64.  Items are shuffled by
     ``shuffle_seed``, a non-negative integer or a sequence of them (None
     keeps manifest order).  The final batch may be short.
     """
@@ -608,42 +608,28 @@ def to_batches(manifest, batch_size, shuffle_seed=None, size=None):
                               f"of them, got {shuffle_seed!r}")
     if not manifest.items:
         raise CorpusError("cannot batch an empty manifest")
-    n_classes = len(manifest.class_names)
-    for item in manifest.items:
-        if item.label >= n_classes:
-            raise ConsistencyError(
-                f"item label {item.label} out of range for {n_classes} classes")
     order = np.arange(len(manifest.items))
     if shuffle_seed is not None:
         order = np.random.default_rng(shuffle_seed).permutation(order)
-
-    arrays, labels = [], []
-    shape0 = None
-    for idx in order:
-        item = manifest.items[idx]
-        px = resize_nn(item.pixels, size) if size is not None else item.pixels
-        if shape0 is None:
-            shape0 = px.shape
-        elif px.shape != shape0:
-            raise DimensionError(
-                f"images disagree on size ({shape0} vs {px.shape}); pass an explicit size")
-        arrays.append(px)
-        labels.append(item.label)
-
+    items = [manifest.items[i] for i in order]
+    labels = np.array([item.label for item in items], dtype=np.int64)
+    if labels.max() >= len(manifest.class_names):
+        raise ConsistencyError(f"item label {labels.max()} out of range for "
+                               f"{len(manifest.class_names)} classes")
+    step = int(batch_size)
     batches = []
-    for start in range(0, len(arrays), int(batch_size)):
-        chunk = arrays[start:start + int(batch_size)]
-        x = np.stack(chunk).astype(np.float32) / np.float32(255.0)
-        y = np.asarray(labels[start:start + int(batch_size)], dtype=np.int64)
-        batches.append((x[:, None, :, :], y))
+    for start in range(0, len(items), step):
+        chunk = [resize_nn(item.pixels, size) for item in items[start:start + step]]
+        batches.append(((np.stack(chunk).astype(np.float32) / np.float32(255.0))[:, None],
+                        labels[start:start + step]))
     return batches
 
 
 def write_manifest_csv(manifest, path):
     """Writes ``path,label,class`` rows for every item, in manifest order."""
-    lines = ["path,label,class"]
+    rows = [("path", "label", "class")]
     for item in manifest.items:
         if not item.path:
             raise ConfigError("cannot export a manifest whose items have no file paths")
-        lines.append(f"{item.path},{item.label},{manifest.class_names[item.label]}")
-    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
+        rows.append((item.path, str(item.label), manifest.class_names[item.label]))
+    write_csv(path, rows)

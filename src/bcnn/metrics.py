@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .atomic import write_atomic
+from .atomic import write_csv
 from .errors import ConfigError, ConsistencyError, DimensionError
 
 __all__ = [
@@ -164,10 +164,9 @@ def report_from_matrix(cm):
     return MetricsReport(per_class=per_class, aggregates=_aggregate(rational))
 
 
-def round_display(x, digits=2):
-    """Rounds half away from zero to ``digits`` decimal places."""
-    scale = 10 ** digits
-    return math.copysign(math.floor(abs(x) * scale + 0.5), x) / scale
+def round_display(x):
+    """Rounds half away from zero to two decimal places."""
+    return math.copysign(math.floor(abs(x) * 100 + 0.5), x) / 100
 
 
 def _rows(report):
@@ -187,10 +186,11 @@ def write_report_csv(report, path):
     class; ``macro`` and ``weighted`` rows carrying their averages with
     total support; a final ``accuracy,,,,<value>`` row.
     """
-    lines = ["class,precision,recall,f1,support"]
-    lines += [f"{name},{p:.4f},{r:.4f},{f1:.4f},{n}" for name, p, r, f1, n in _rows(report)]
-    lines.append(f"accuracy,,,,{report.aggregates.accuracy:.4f}")
-    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
+    rows = [("class", "precision", "recall", "f1", "support")]
+    rows += [(name, f"{p:.4f}", f"{r:.4f}", f"{f1:.4f}", str(n))
+             for name, p, r, f1, n in _rows(report)]
+    rows.append(("accuracy", "", "", "", f"{report.aggregates.accuracy:.4f}"))
+    write_csv(path, rows)
 
 
 def format_report(report):

@@ -84,16 +84,11 @@ def rgb_to_gray(rgb):
     return luma.astype(np.uint8)
 
 
-def _check_gray(pixels):
+def write_pgm(path, pixels):
+    """Writes a (H, W) uint8 array as binary P5."""
     arr = np.asarray(pixels)
     if arr.ndim != 2 or arr.dtype != np.uint8:
         raise FormatError(f"expected a 2-D uint8 array, got shape {arr.shape} dtype {arr.dtype}")
-    return arr
-
-
-def write_pgm(path, pixels):
-    """Writes a (H, W) uint8 array as binary P5."""
-    arr = _check_gray(pixels)
     height, width = arr.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import write_atomic
+from .atomic import write_atomic, write_csv
 from .data import (AugmentSpec, _is_int, _is_real, augment_dataset, stratified_split,
                    to_batches)
 from .errors import (ConfigError, ConsistencyError, CorpusError, FormatError,
@@ -124,25 +124,22 @@ def _openblas_setter():
 @contextlib.contextmanager
 def _shard_runner():
     """Holds OpenBLAS at one thread and yields ``run(fn, shards)``, which
-    returns ``[fn(s) for s in shards]`` computed on up to ``_WORKERS``
-    threads.
+    returns ``[fn(s) for s in shards]`` computed on a pool of ``_WORKERS``
+    threads.  Where OpenBLAS cannot be held, the pool has one thread, and
+    a multithreaded BLAS can use the cores instead.
 
     Each shard runs in a copy of the caller's context, so ``np.errstate``
-    applies inside it.  Without the hold, the shards run on this thread,
-    where a multithreaded BLAS can use the cores instead.
+    applies inside it.
     """
+    from concurrent.futures import ThreadPoolExecutor
     setter = _openblas_setter()
     previous = setter(1) if setter is not None else None
     try:
-        if setter is None or _WORKERS < 2:
-            yield lambda fn, shards: [fn(s) for s in shards]
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(_WORKERS) as pool:
-                def run(fn, shards):
-                    contexts = [contextvars.copy_context() for _ in shards]
-                    return list(pool.map(lambda ctx, s: ctx.run(fn, s), contexts, shards))
-                yield run
+        with ThreadPoolExecutor(_WORKERS if setter is not None else 1) as pool:
+            def run(fn, shards):
+                contexts = [contextvars.copy_context() for _ in shards]
+                return list(pool.map(lambda ctx, s: ctx.run(fn, s), contexts, shards))
+            yield run
     finally:
         if setter is not None:
             setter(previous)
@@ -242,8 +239,9 @@ def train(manifest, model_config, train_config):
     return params, records
 
 
-def evaluate(params, manifest, batch_size=32, input_size=None):
-    """Runs the model over a corpus; returns (ConfusionMatrix, report)."""
+def evaluate(params, manifest, batch_size=32, *, input_size):
+    """Runs the model over a corpus, each image resized to ``input_size``
+    square; returns (ConfusionMatrix, report)."""
     if not manifest.items:
         raise CorpusError("cannot evaluate an empty manifest")
     classes = params["head_b"].shape[0]
@@ -330,8 +328,6 @@ def load_checkpoint(path):
         raise VersionError(
             f"unsupported checkpoint version {version}; this build reads {CHECKPOINT_VERSION}")
     input_size, n_stages = u32(2)
-    if not 2 <= n_stages <= 64:
-        raise IntegrityError(f"implausible stage count {n_stages}")
     *channels, classes, seed = u32(n_stages + 2)
     try:
         config = ModelConfig(input_size=input_size, stages=n_stages, channels=tuple(channels),
@@ -370,8 +366,7 @@ def write_log(path, records):
     """Writes epoch records as CSV with 6-decimal values."""
     if not records:
         raise ConfigError("cannot write an empty training log")
-    lines = ["epoch,train_loss,train_acc,val_loss,val_acc"]
-    for r in records:
-        lines.append(f"{r.epoch},{r.train_loss:.6f},{r.train_acc:.6f},"
-                     f"{r.val_loss:.6f},{r.val_acc:.6f}")
-    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
+    rows = [("epoch", "train_loss", "train_acc", "val_loss", "val_acc")]
+    rows += [(str(r.epoch), f"{r.train_loss:.6f}", f"{r.train_acc:.6f}", f"{r.val_loss:.6f}",
+              f"{r.val_acc:.6f}") for r in records]
+    write_csv(path, rows)

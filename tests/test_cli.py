@@ -2,6 +2,7 @@
 taxonomy (0 ok, 1 usage, 2 runtime, 3 failed gradient check)."""
 
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -337,6 +338,42 @@ def test_runtime_errors_exit_2(tmp_path, corpus_dir, run_dir, capsys):
 
     assert main(["predict", "--image", str(tmp_path / "missing.pgm"),
                  "--checkpoint", str(run_dir / "model.bcnn")]) == 2
+
+
+def _corpus_with_class(tmp_path, corpus_dir, name):
+    """A copy of the corpus whose ``linear`` class directory is named ``name``."""
+    copy = tmp_path / "renamed"
+    shutil.copytree(corpus_dir, copy)
+    (copy / "linear").rename(copy / name)
+    return copy
+
+
+def test_csv_files_hold_a_non_ascii_class_name_as_utf8(tmp_path, corpus_dir, run_dir, capsys):
+    data = _corpus_with_class(tmp_path, corpus_dir, "linéaire")
+    report = tmp_path / "report.csv"
+    assert main(["eval", "--data", str(data), "--checkpoint", str(run_dir / "model.bcnn"),
+                 "--report", str(report)]) == 0
+    assert report.read_bytes().decode("utf-8").splitlines()[2].startswith("linéaire,")
+    out = tmp_path / "aug"
+    assert main(["augment", "--in", str(data), "--out", str(out), "--variants", "1"]) == 0
+    rows = (out / "manifest.csv").read_bytes().decode("utf-8").splitlines()
+    assert "linéaire/linéaire_00000.pgm,1,linéaire" in rows
+    assert all(len(row.split(",")) == 3 for row in rows)
+
+
+@pytest.mark.parametrize("name", ["a,b", 'a"b', "a\rb", "a\nb"])
+def test_a_class_name_a_csv_field_cannot_hold_exits_2_and_writes_nothing(
+        tmp_path, corpus_dir, run_dir, capsys, name):
+    data = _corpus_with_class(tmp_path, corpus_dir, name)
+    out = tmp_path / "aug"
+    assert main(["augment", "--in", str(data), "--out", str(out)]) == 2
+    assert "CSV field" in capsys.readouterr().err
+    assert not out.exists()
+    report = tmp_path / "report.csv"
+    assert main(["eval", "--data", str(data), "--checkpoint", str(run_dir / "model.bcnn"),
+                 "--report", str(report)]) == 2
+    assert "CSV field" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_predict_rejects_corrupt_checkpoint_exit_2(tmp_path, corpus_dir, run_dir, capsys):

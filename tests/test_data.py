@@ -33,7 +33,7 @@ from bcnn.data import (
 )
 from bcnn.data import (_DRAWERS, _darkness, _draw_background, _euler_number, _signature_ok,
                        _span_anchors, _stamp_polyline)
-from bcnn.errors import ConfigError, ConsistencyError, CorpusError, DimensionError, FormatError
+from bcnn.errors import ConfigError, ConsistencyError, CorpusError, FormatError
 from bcnn.netpbm import read_image, rgb_to_gray, write_pgm
 
 EIGHT = np.ones((3, 3), dtype=int)  # scipy structure for 8-connectivity
@@ -739,7 +739,7 @@ def test_synth_pixels_are_pinned():
 
 def test_to_batches_sizes():
     manifest = make_manifest([6, 4])
-    batches = to_batches(manifest, 4)
+    batches = to_batches(manifest, 4, size=8)
     assert [len(y) for _, y in batches] == [4, 4, 2]
     assert all(x.shape[1:] == (1, 8, 8) for x, _ in batches)
 
@@ -748,7 +748,7 @@ def test_to_batches_normalization_endpoints():
     items = [LabeledImage(np.full((8, 8), 0, dtype=np.uint8), 0),
              LabeledImage(np.full((8, 8), 255, dtype=np.uint8), 1)]
     manifest = DatasetManifest(["a", "b"], items)
-    (x, y), = to_batches(manifest, 2)
+    (x, y), = to_batches(manifest, 2, size=8)
     assert x.dtype == np.float32
     assert float(x[0].max()) == 0.0
     assert float(x[1].min()) == 1.0
@@ -757,13 +757,13 @@ def test_to_batches_normalization_endpoints():
 
 def test_to_batches_shuffle_determinism():
     manifest = make_manifest([8, 8])
-    a = to_batches(manifest, 4, shuffle_seed=11)
-    b = to_batches(manifest, 4, shuffle_seed=11)
-    c = to_batches(manifest, 4, shuffle_seed=12)
+    a = to_batches(manifest, 4, shuffle_seed=11, size=8)
+    b = to_batches(manifest, 4, shuffle_seed=11, size=8)
+    c = to_batches(manifest, 4, shuffle_seed=12, size=8)
     flat = lambda bs: [int(v) for _, y in bs for v in y]
     assert flat(a) == flat(b)
     assert flat(a) != flat(c)
-    unshuffled = to_batches(manifest, 4)
+    unshuffled = to_batches(manifest, 4, size=8)
     assert flat(unshuffled) == [i.label for i in manifest.items]
 
 
@@ -771,8 +771,6 @@ def test_to_batches_resizes_on_request():
     items = [LabeledImage(np.random.default_rng(10).integers(0, 256, (16, 16), dtype=np.uint8), 0),
              LabeledImage(stamp_image(3), 1)]  # 8x8
     manifest = DatasetManifest(["a", "b"], items)
-    with pytest.raises(DimensionError):
-        to_batches(manifest, 2)
     (x, _), = to_batches(manifest, 2, size=8)
     assert x.shape == (2, 1, 8, 8)
 
@@ -780,20 +778,20 @@ def test_to_batches_resizes_on_request():
 def test_to_batches_validation():
     manifest = make_manifest([4])
     with pytest.raises(ConfigError):
-        to_batches(manifest, 0)
+        to_batches(manifest, 0, size=8)
     with pytest.raises(ConfigError):
-        to_batches(manifest, True)
+        to_batches(manifest, True, size=8)
     with pytest.raises(CorpusError):
-        to_batches(DatasetManifest(["a"], []), 2)
-    for size in (32.5, "32", 0, -1, True):
+        to_batches(DatasetManifest(["a"], []), 2, size=8)
+    for size in (None, 32.5, "32", 0, -1, True):
         with pytest.raises(ConfigError):
             to_batches(manifest, 2, size=size)
     for shuffle_seed in (-1, 1.5, "1", (3, -1), (3, 1.0), True):
         with pytest.raises(ConfigError):
-            to_batches(manifest, 2, shuffle_seed=shuffle_seed)
+            to_batches(manifest, 2, shuffle_seed=shuffle_seed, size=8)
     manifest.items[0].label = 7
     with pytest.raises(ConsistencyError):
-        to_batches(manifest, 2)
+        to_batches(manifest, 2, size=8)
 
 
 def test_resize_nn_identity_and_downsample():

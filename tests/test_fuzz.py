@@ -162,7 +162,7 @@ def at_most(limit):
                               and value > limit)
 
 
-# Images of six heights, so that batching without a size must fail.
+# Images of six heights; batching resizes them all to one size.
 _MANIFEST = DatasetManifest(["a", "b"], [
     LabeledImage(np.random.default_rng(i).integers(0, 256, (8 + i, 8), dtype=np.uint8), i % 2)
     for i in range(6)])
@@ -214,7 +214,7 @@ def cli_files(fuzz_dir, good_checkpoint):
     write_pgm(fuzz_dir / "image.pgm", np.full((9, 6), 128, dtype=np.uint8))
     paths = {name: str(fuzz_dir / name) for name in (
         "corpus", "ckpt.bcnn", "broken.bcnn", "junk.txt", "image.pgm", "missing", "out",
-        "report.csv")}
+        "report.csv", "trained.bcnn", "log.csv")}
     paths["file/out"] = str(fuzz_dir / "junk.txt" / "out")
     return paths
 
@@ -243,7 +243,43 @@ def _cli_flags(paths, command):
                  "--report": pick("report.csv", "file/out", "corpus")},
         "predict": {"--image": pick("image.pgm", "junk.txt", "missing", "ckpt.bcnn", "corpus"),
                     "--checkpoint": checkpoint},
+        "gradcheck": {"--seed": st.sampled_from(("0", "1", "2", "3", "-1", str(2 ** 32), "x")),
+                      "--tol": st.sampled_from(("1e-4", "0.001", "1e-30", "inf", "0", "nan", "x"))},
+        # Valid values only; _train_faults holds the bad ones.  32 is the
+        # smallest size the default model takes, and no value asks for
+        # more than 2 epochs or 2 augmentation variants.
+        "train": {"--data": st.just(paths["corpus"]), "--epochs": st.sampled_from(("1", "2")),
+                  "--batch": st.sampled_from(("4", "1", "3")),
+                  "--lr": st.sampled_from(("0.01", "0.001")),
+                  "--val-ratio": st.sampled_from(("0.25", "0.5", "0.34")),
+                  "--seed": st.sampled_from(("0", "1", "7")),
+                  "--optimizer": st.sampled_from(("adam", "sgd")), "--size": st.just("32"),
+                  "--checkpoint": st.just(paths["trained.bcnn"]),
+                  "--log": st.just(paths["log.csv"]),
+                  "--augment-variants": st.sampled_from(("0", "1", "2")),
+                  "--augment-before-split": None},
     }[command]
+
+
+def _train_faults(paths):
+    """A bad value for each ``train`` option that takes one; None for a
+    switch whose use is the fault (it clashes with ``--val-ratio``)."""
+    return {
+        "--data": st.sampled_from([paths[n] for n in ("missing", "junk.txt", "ckpt.bcnn")]),
+        "--epochs": st.sampled_from(("0", "-1", "x")),
+        "--batch": st.sampled_from(("0", "-1", "1.5", "x")),
+        # 1e28 makes training diverge: a TrainingError, exit 2
+        "--lr": st.sampled_from(("0", "-1", "nan", "inf", "1e400", "1e28", "x")),
+        # 0.95 leaves the train side empty
+        "--val-ratio": st.sampled_from(("0", "1", "-0.5", "0.95", "nan", "x")),
+        "--seed": st.sampled_from(("-1", str(2 ** 32), "x")),
+        "--optimizer": st.sampled_from(("Adam", "")),
+        "--size": st.sampled_from(("31", "0", "-1", str(MAX_INPUT_SIZE + 1), "x")),
+        "--checkpoint": st.sampled_from([paths[n] for n in ("file/out", "corpus")]),
+        "--log": st.sampled_from([paths[n] for n in ("file/out", "corpus")]),
+        "--augment-variants": st.sampled_from(("-1", "x")),
+        "--split-ratio-alt": None,
+    }
 
 
 @st.composite
@@ -264,13 +300,48 @@ def argv_for(draw, command, flags):
     return argv
 
 
-@pytest.mark.parametrize("command", ["synth", "augment", "eval", "predict"])
+@st.composite
+def argv_with_one_fault(draw, command, valid, faults):
+    """``command`` with every option of ``valid`` at a valid value, in any
+    order, and each switch (None) given or not; then at most one fault:
+    an option takes its bad value from ``faults`` (a None there is a
+    switch that is given), or is left out, or a stray token follows.  So
+    many examples run the command through, however many options it has."""
+    fault = draw(st.sampled_from([None, "stray"] + [("omit", f) for f in sorted(valid)]
+                                 + [("bad", f) for f in sorted(faults)]))
+    argv = [command]
+    for flag in draw(st.permutations(sorted(set(valid) | set(faults)))):
+        if fault == ("bad", flag):
+            argv += [flag] if faults[flag] is None else [flag, draw(faults[flag])]
+        elif flag not in valid or fault == ("omit", flag):
+            continue
+        elif valid[flag] is None:
+            argv += [flag] if draw(st.booleans()) else []
+        else:
+            argv += [flag, draw(valid[flag])]
+    if fault == "stray":
+        argv.append(draw(st.sampled_from(("--bogus", "x", "--", "-1", "--seed"))))
+    return argv
+
+
+# A train or gradcheck example runs the model, so these run fewer examples.
+_EXAMPLES = {"synth": 100, "augment": 100, "eval": 100, "predict": 100, "gradcheck": 20,
+             "train": 20}
+
+
+@pytest.mark.parametrize("command", list(_EXAMPLES))
 def test_cli_fuzz_exits_with_a_documented_code(cli_files, command):
     flags = _cli_flags(cli_files, command)
+    argvs = (argv_with_one_fault(command, flags, _train_faults(cli_files)) if command == "train"
+             else argv_for(command, flags))
 
-    @settings(FUZZ, max_examples=100)
-    @given(argv_for(command, flags))
+    @settings(FUZZ, max_examples=_EXAMPLES[command])
+    @given(argvs)
     def check(argv):
-        assert main(argv) in (0, 1, 2, 3), argv
+        # A diverging run (--lr 1e28) overflows on its way to its
+        # TrainingError, exit 2.  The suite turns numpy's RuntimeWarnings
+        # into exceptions, and those warnings are not what this checks.
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv) in (0, 1, 2, 3), argv
 
     check()

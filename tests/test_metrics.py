@@ -203,8 +203,7 @@ def test_round_display_half_away_from_zero():
     assert round_display(0.875) == 0.88
     assert round_display(-0.875) == -0.88
     assert round_display(0.874) == 0.87
-    assert round_display(0.8766666, 2) == 0.88
-    assert round_display(0.8752, 3) == 0.875
+    assert round_display(0.8766666) == 0.88
 
 
 def test_report_csv_layout(tmp_path):

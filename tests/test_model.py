@@ -20,7 +20,7 @@ from bcnn.model import (
     parameter_shapes,
     softmax_xent,
 )
-from bcnn.tensor import Tensor, conv2d_backward
+from bcnn.tensor import Tensor, conv2d, conv2d_backward
 
 TINY = ModelConfig(input_size=8, stages=2, channels=(2, 3), classes=3, seed=0)
 
@@ -329,3 +329,51 @@ def test_full_model_gradcheck_passes_on_tiny_config():
 
 def test_full_model_gradcheck_other_seed():
     assert max(full_model_gradcheck(seed=7).values()) < 1e-4
+
+
+def _kink_margin_by_stage_names(trace, params):
+    """The kink margin by the stage names: the conv contexts are fwd1..fwdK
+    and then refine{K-1}..refine1, each with the bias of its name, and
+    only the fwd convs are pooled."""
+    stages = sum(name.startswith("fwd") and name.endswith("_w") for name in params)
+    names = ([f"fwd{k}" for k in range(1, stages + 1)]
+             + [f"refine{k}" for k in range(stages - 1, 0, -1)])
+    convs = [ctx for ctx in trace.ctxs if ctx.op == "conv2d"]
+    assert len(convs) == len(names)
+    margin = np.inf
+    for name, ctx in zip(names, convs):
+        pre = conv2d(ctx.saved["x"], ctx.saved["w"], params[f"{name}_b"].data)[0]
+        margin = min(margin, float(np.abs(pre).min()))
+        if name.startswith("fwd"):
+            act = np.maximum(pre, 0.0)
+            batch, chans, height, width = act.shape
+            windows = (act.reshape(batch, chans, height // 2, 2, width // 2, 2)
+                       .transpose(0, 1, 2, 4, 3, 5).reshape(-1, 4))
+            top2 = np.partition(windows, 2, axis=1)[:, -2:]
+            positive = top2[:, 1] > 0
+            if positive.any():
+                gaps = top2[positive, 1] - np.maximum(top2[positive, 0], 0.0)
+                margin = min(margin, float(gaps.min()))
+    return margin
+
+
+@pytest.mark.parametrize("config", [
+    TINY, ModelConfig(input_size=16, stages=3, channels=(2, 3, 4), classes=3, seed=1)],
+    ids=["2-stage", "3-stage"])
+# Biases from [-0.5, 0.5) put conv outputs near the ReLU kink, so |value|
+# decides the margin and a conv given another layer's bias shows; from
+# [4, 5) every conv output is far above it, so the pooling gaps decide.
+@pytest.mark.parametrize("bias_low", [-0.5, 4.0], ids=["near-kink", "pool-gaps"])
+def test_kink_margin_walks_the_trace_as_the_stage_names_do(config, bias_low):
+    params = build_model(config, np.float64)
+    rng = np.random.default_rng(config.stages)
+    for name, tensor in params.items():
+        if name.endswith("_b"):
+            tensor.data[...] = rng.uniform(bias_low, bias_low + 1.0, tensor.shape)
+    for seed in range(3):
+        size = config.input_size
+        x = np.random.default_rng(seed).random((2, 1, size, size))
+        _, trace = forward(params, Tensor(x, dtype=np.float64))
+        margin = bcnn.model._kink_margin(trace, params)
+        assert margin == _kink_margin_by_stage_names(trace, params)
+        assert 0 < margin < np.inf

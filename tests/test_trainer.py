@@ -428,6 +428,19 @@ def test_checkpoint_rejects_an_input_size_above_the_bound(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_every_implausible_stage_count(tmp_path):
+    # A huge count fails the truncation check before anything is unpacked;
+    # a small or large one fails ModelConfig.
+    config = ModelConfig(input_size=32, stages=2, channels=(1, 1), classes=2)
+    path = tmp_path / "small.bcnn"
+    save_checkpoint(path, Checkpoint(1, config, build_model(config)))
+    good = path.read_bytes()
+    for stages in (0, 1, 3, 65, 2 ** 32 - 1):
+        path.write_bytes(good[:12] + struct.pack("<I", stages) + good[16:])
+        with pytest.raises(IntegrityError):
+            load_checkpoint(path)
+
+
 def _saved_checkpoint(tmp_path):
     path = tmp_path / "model.bcnn"
     save_checkpoint(path, Checkpoint(1, MODEL, build_model(MODEL)))

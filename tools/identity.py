@@ -6,6 +6,9 @@ a temporary directory, with relative paths: ``synth``, ``augment``,
 ``eval --report``, ``predict`` and ``gradcheck``.  For each command it
 prints the exit code and the SHA-256 of its stdout, then one line per
 file the command created or changed, and it starts with an ``env`` line.
+Two lines end the report: the exact ``full_model_gradcheck(3)`` errors,
+as ``repr``, and the bytes and MiB that the forward trace of 32
+default-size images holds.
 
 ``bcnn`` is imported from ``PYTHONPATH``, so comparing two checkouts is
 two runs and a diff, on one machine (training bits depend on the CPU's
@@ -28,6 +31,8 @@ from pathlib import Path
 import numpy as np
 
 import bcnn.cli
+from bcnn.model import ModelConfig, build_model, forward, full_model_gradcheck
+from bcnn.tensor import Tensor
 
 _TRAIN = ["train", "--data", "augmented", "--epochs", "2", "--size", "32", "--seed", "4"]
 
@@ -55,8 +60,27 @@ def _tree(root):
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
+def _trace_bytes():
+    """Bytes of the distinct arrays that the forward trace of 32 default
+    64x64 images holds; a view counts once, through the array that owns
+    its memory."""
+    config = ModelConfig()
+    x = np.random.default_rng(4).random((32, 1, config.input_size, config.input_size),
+                                        dtype=np.float32)
+    _, trace = forward(build_model(config), Tensor(x))
+    owners = {}
+    for ctx in trace.ctxs:
+        for value in ctx.saved.values():
+            if isinstance(value, np.ndarray):
+                while isinstance(value.base, np.ndarray):
+                    value = value.base
+                owners[id(value)] = value.nbytes
+    return sum(owners.values())
+
+
 def run():
-    """The report's lines, from one pass of ``COMMANDS`` in a fresh directory."""
+    """The report's lines, from one pass of ``COMMANDS`` in a fresh directory,
+    then the gradient-check line and the trace line."""
     lines = [f"env python={platform.python_version()} numpy={np.__version__} "
              f"machine={platform.machine()}"]
     cwd = os.getcwd()
@@ -77,6 +101,9 @@ def run():
                 before = after
         finally:
             os.chdir(cwd)
+    lines.append(f"full_model_gradcheck(3) {full_model_gradcheck(3)!r}")
+    held = _trace_bytes()
+    lines.append(f"trace images=32 bytes={held} mib={held / 2 ** 20:.4f}")
     return lines
 
 
