@@ -32,9 +32,14 @@ def write_atomic(path, data):
 
 def check_csv_field(text):
     """Raises :class:`CorpusError` if ``text`` holds a comma, a double
-    quote, CR or LF, which an unquoted CSV field cannot hold."""
+    quote, CR or LF, which an unquoted CSV field cannot hold, or is not
+    valid UTF-8 (a file name that the OS gave as undecodable bytes)."""
     if any(c in text for c in ',"\r\n'):
         raise CorpusError(f"{text!r} cannot be a CSV field: it holds a comma, quote, CR or LF")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise CorpusError(f"{text!r} cannot be a CSV field: it is not valid UTF-8") from None
 
 
 def write_csv(path, rows):

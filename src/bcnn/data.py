@@ -156,7 +156,9 @@ def load_dataset(root):
 
     Directory names sorted lexicographically define the label order.
     Unreadable or non-image files are skipped with a warning; an empty
-    class or fewer than two class directories is an error.
+    class, fewer than two class directories, or a class directory name
+    that is not valid UTF-8 (so cannot be printed or written as text) is
+    an error.
     """
     rootp = Path(root)
     if not rootp.is_dir():
@@ -165,6 +167,11 @@ def load_dataset(root):
     if len(class_dirs) < 2:
         raise CorpusError(
             f"corpus needs at least two class directories, found {len(class_dirs)}")
+    for cdir in class_dirs:
+        try:
+            cdir.name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise CorpusError(f"class directory name {cdir.name!r} is not valid UTF-8") from None
     items = []
     for label, cdir in enumerate(class_dirs):
         found = 0

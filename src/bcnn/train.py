@@ -12,8 +12,13 @@ whole batch's logits, and each parameter gradient is added as first half
 plus second half.  While :func:`train` and :func:`evaluate` run, OpenBLAS
 is held at one thread for the whole process, so the results are
 bit-identical whatever the core count or ``OPENBLAS_NUM_THREADS``.  Where
-OpenBLAS cannot be held, both halves run on the calling thread, with the
-same bits as on two threads at the same BLAS thread count.
+OpenBLAS cannot be held, both halves run one after the other on one
+worker thread, with the same bits as on two threads at the same BLAS
+thread count.
+
+:func:`train` runs under ``np.errstate(over="raise", invalid="raise")``,
+so a diverging run stops at its first overflow or invalid value with a
+:class:`TrainingError`, and numpy prints no warning on the way.
 """
 
 import contextlib
@@ -129,7 +134,7 @@ def _shard_runner():
     a multithreaded BLAS can use the cores instead.
 
     Each shard runs in a copy of the caller's context, so ``np.errstate``
-    applies inside it.
+    applies inside it (errstate is context-local from numpy 2.0 on).
     """
     from concurrent.futures import ThreadPoolExecutor
     setter = _openblas_setter()
@@ -176,7 +181,7 @@ def _epoch_metrics(run, params, manifest, batch_size, size, where):
         try:
             logits = _sharded_forward(run, params, x)[0]
             loss, _ = softmax_xent(logits, y)
-        except NumericError as exc:
+        except (NumericError, FloatingPointError) as exc:
             raise TrainingError(f"non-finite loss during {where}: {exc}") from exc
         n = len(y)
         total_loss += loss * n
@@ -193,8 +198,9 @@ def train(manifest, model_config, train_config):
     model is built from ``model_config.seed``, and each epoch runs the
     shuffled train batches through forward/backward/update.  Epoch
     metrics come from separate full passes over both sides, so exactly
-    ``epochs`` records are returned.  A non-finite loss aborts with a
-    :class:`TrainingError` naming the epoch and batch.
+    ``epochs`` records are returned.  A non-finite loss, an overflow or
+    an invalid value aborts with a :class:`TrainingError` naming the
+    epoch and batch.
     """
     if len(manifest.class_names) != model_config.classes:
         raise ConsistencyError(
@@ -216,7 +222,7 @@ def train(manifest, model_config, train_config):
 
     size = model_config.input_size
     records = []
-    with _shard_runner() as run:
+    with _shard_runner() as run, np.errstate(over="raise", invalid="raise"):
         for epoch in range(1, train_config.epochs + 1):
             batches = to_batches(train_m, train_config.batch_size,
                                  shuffle_seed=(train_config.seed, epoch), size=size)
@@ -227,7 +233,7 @@ def train(manifest, model_config, train_config):
                         adam_step(opt_state, params, grads)
                     else:
                         sgd_step(params, grads, train_config.lr)
-                except (NumericError, UpdateError) as exc:
+                except (NumericError, UpdateError, FloatingPointError) as exc:
                     raise TrainingError(
                         f"training diverged at epoch {epoch}, batch {batch_index}: {exc}") from exc
             train_loss, train_acc = _epoch_metrics(

@@ -376,6 +376,21 @@ def test_a_class_name_a_csv_field_cannot_hold_exits_2_and_writes_nothing(
     assert not report.exists()
 
 
+def test_a_class_name_that_is_not_utf8_exits_2_and_writes_nothing(
+        tmp_path, corpus_dir, run_dir, capsys):
+    # The OS gives a directory name holding the byte 0xff as "\udcff".
+    data = _corpus_with_class(tmp_path, corpus_dir, "a\udcffb")
+    out, report, ckpt = tmp_path / "aug", tmp_path / "report.csv", tmp_path / "m.bcnn"
+    for argv in (["augment", "--in", str(data), "--out", str(out)],
+                 ["eval", "--data", str(data), "--checkpoint", str(run_dir / "model.bcnn"),
+                  "--report", str(report)],
+                 ["train", "--data", str(data), "--epochs", "1", "--size", "32",
+                  "--checkpoint", str(ckpt)]):
+        assert main(argv) == 2, argv
+        assert "not valid UTF-8" in capsys.readouterr().err
+    assert not (out.exists() or report.exists() or ckpt.exists())
+
+
 def test_predict_rejects_corrupt_checkpoint_exit_2(tmp_path, corpus_dir, run_dir, capsys):
     good = (run_dir / "model.bcnn").read_bytes()
     name = good.index(b"fwd1_w")

@@ -822,6 +822,15 @@ def test_write_manifest_csv_layout(tmp_path):
     assert lines[2] == "cls1/img_1.pgm,1,beta"
 
 
+def test_write_manifest_csv_refuses_a_class_name_that_is_not_utf8(tmp_path):
+    items = [LabeledImage(stamp_image(i), i % 2, path=f"cls{i % 2}/img_{i}.pgm")
+             for i in range(2)]
+    out = tmp_path / "manifest.csv"
+    with pytest.raises(CorpusError, match="not valid UTF-8"):
+        write_manifest_csv(DatasetManifest(["alpha", "b\udcffeta"], items), out)
+    assert not out.exists()
+
+
 def test_write_manifest_csv_requires_paths(tmp_path):
     manifest = make_manifest([2])
     with pytest.raises(ConfigError):

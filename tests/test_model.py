@@ -1,8 +1,10 @@
 """Cascade architecture: shapes, determinism, both streams, gradients."""
 
 import dataclasses
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,12 @@ from bcnn.model import (
     softmax_xent,
 )
 from bcnn.tensor import Tensor, conv2d, conv2d_backward
+
+_IDENTITY = importlib.util.spec_from_file_location(
+    "identity", Path(__file__).resolve().parents[1] / "tools" / "identity.py")
+identity = importlib.util.module_from_spec(_IDENTITY)
+_IDENTITY.loader.exec_module(identity)
+held_bytes = identity.held_bytes
 
 TINY = ModelConfig(input_size=8, stages=2, channels=(2, 3), classes=3, seed=0)
 
@@ -162,32 +170,13 @@ def test_forward_trace_keeps_only_what_backward_reads():
     assert all(set(ctx.saved) == {"out"} for ctx in relu_ctxs)
 
 
-def _held_bytes(obj, seen):
-    """Bytes of the distinct arrays reachable from ``obj``; views count
-    once, through the array that owns their memory."""
-    if isinstance(obj, np.ndarray):
-        while isinstance(obj.base, np.ndarray):
-            obj = obj.base
-        if id(obj) in seen:
-            return 0
-        seen.add(id(obj))
-        return obj.nbytes
-    if isinstance(obj, dict):
-        return sum(_held_bytes(v, seen) for v in obj.values())
-    if isinstance(obj, (list, tuple)):
-        return sum(_held_bytes(v, seen) for v in obj)
-    if hasattr(obj, "__dict__"):
-        return sum(_held_bytes(v, seen) for v in vars(obj).values())
-    return 0
-
-
 def test_forward_trace_of_a_default_batch_fits_in_20_mib():
     # Pooling keeps a 4-byte winner record per pooled element, not the
     # conv output it pooled, and ReLU keeps the output that the next conv
     # keeps anyway: a batch of 32 default-size images holds 19.7 MiB.
     config = ModelConfig()
     _, trace = forward(build_model(config), batch_of(np.random.default_rng(4), config, 32))
-    assert _held_bytes(trace, set()) <= 20 * 2 ** 20
+    assert held_bytes(trace) <= 20 * 2 ** 20
 
 
 def test_forward_permuting_batch_permutes_logits():
@@ -269,10 +258,10 @@ def test_backward_skips_only_the_first_input_gradient(monkeypatch):
 def test_backward_leaves_no_array_in_the_trace():
     params = build_model(TINY)
     logits, trace = forward(params, batch_of(np.random.default_rng(9), TINY, 2))
-    assert _held_bytes(trace, set()) > 0
+    assert held_bytes(trace) > 0
     backward(params, trace, np.ones(logits.shape, dtype=np.float32))
     assert trace.ctxs == []
-    assert _held_bytes(trace, set()) == 0
+    assert held_bytes(trace) == 0
 
 
 def test_backward_refuses_a_used_trace():

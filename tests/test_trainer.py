@@ -220,7 +220,8 @@ def test_train_rejects_empty_split_side():
 
 def test_train_divergence_abort_names_epoch_and_batch(corpus):
     config = TrainConfig(epochs=1, batch_size=8, lr=1e28, optimizer="sgd", seed=0)
-    with np.errstate(all="ignore"), pytest.raises(TrainingError) as err:
+    # train() raises at the first overflow, so numpy warns of nothing.
+    with pytest.raises(TrainingError) as err:
         train(corpus, MODEL, config)
     message = str(err.value)
     assert "epoch 1" in message and "batch" in message
@@ -304,10 +305,10 @@ def test_train_leaves_no_threads_and_restores_blas_threads(corpus):
     assert threading.active_count() == threads
     assert _blas_threads() == blas
 
-    # The shard threads see the caller's np.errstate: the overflows raise
-    # no RuntimeWarning.
+    # The shard threads see train()'s np.errstate: the overflow in a
+    # shard raises, and no RuntimeWarning comes first.
     diverging = TrainConfig(epochs=1, batch_size=8, lr=1e28, optimizer="sgd", seed=0)
-    with np.errstate(all="ignore"), warnings.catch_warnings(), pytest.raises(TrainingError):
+    with warnings.catch_warnings(), pytest.raises(TrainingError):
         warnings.simplefilter("error")
         train(corpus, MODEL, diverging)
     assert threading.active_count() == threads

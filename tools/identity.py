@@ -60,22 +60,37 @@ def _tree(root):
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
+def held_bytes(obj):
+    """Bytes of the distinct arrays reachable from ``obj`` through dicts,
+    lists, tuples and object attributes; a view counts once, through the
+    array that owns its memory."""
+    owners = {}
+
+    def walk(value):
+        if isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            owners[id(value)] = value.nbytes
+        elif isinstance(value, dict):
+            for v in value.values():
+                walk(v)
+        elif isinstance(value, (list, tuple)):
+            for v in value:
+                walk(v)
+        elif hasattr(value, "__dict__"):
+            for v in vars(value).values():
+                walk(v)
+
+    walk(obj)
+    return sum(owners.values())
+
+
 def _trace_bytes():
-    """Bytes of the distinct arrays that the forward trace of 32 default
-    64x64 images holds; a view counts once, through the array that owns
-    its memory."""
+    """What the forward trace of 32 default 64x64 images holds, by :func:`held_bytes`."""
     config = ModelConfig()
     x = np.random.default_rng(4).random((32, 1, config.input_size, config.input_size),
                                         dtype=np.float32)
-    _, trace = forward(build_model(config), Tensor(x))
-    owners = {}
-    for ctx in trace.ctxs:
-        for value in ctx.saved.values():
-            if isinstance(value, np.ndarray):
-                while isinstance(value.base, np.ndarray):
-                    value = value.base
-                owners[id(value)] = value.nbytes
-    return sum(owners.values())
+    return held_bytes(forward(build_model(config), Tensor(x))[1])
 
 
 def run():
