@@ -22,7 +22,7 @@ import numpy as np
 from .atomic import check_csv_field
 from .data import (CLASS_NAMES, AugmentSpec, DatasetManifest, augment_dataset,
                    load_dataset, resize_nn, synth_generate, write_manifest_csv)
-from .errors import BcnnError, ConfigError
+from .errors import BcnnError, ConfigError, NumericError
 from .metrics import format_report, write_report_csv
 from .model import ModelConfig, forward, full_model_gradcheck
 from .netpbm import read_image, write_pgm
@@ -217,10 +217,14 @@ def _cmd_predict(args):
     pixels = read_image(args.image)
     size = ckpt.config.input_size
     x = resize_nn(pixels, size).astype(np.float32) / np.float32(255.0)
-    logits, _ = forward(ckpt.params, Tensor(x[None, None, :, :]))
-    z = logits.data[0]
-    exp = np.exp(z - z.max())
-    probs = exp / exp.sum()
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            logits, _ = forward(ckpt.params, Tensor(x[None, None, :, :]))
+            z = logits.data[0]
+            exp = np.exp(z - z.max())
+            probs = exp / exp.sum()
+        except FloatingPointError as exc:
+            raise NumericError(f"prediction failed: {exc}") from exc
     names = _class_names(ckpt.config)
     winner = int(np.argmax(z))
     print(f"class: {names[winner]}")

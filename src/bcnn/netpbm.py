@@ -6,6 +6,8 @@ separates the maxval from the pixel payload.  Color images collapse to
 grayscale with the integer luma (299 R + 587 G + 114 B + 500) // 1000.
 """
 
+import re
+
 import numpy as np
 
 from .errors import FormatError, IntegrityError
@@ -13,26 +15,19 @@ from .errors import FormatError, IntegrityError
 __all__ = ["read_image", "write_pgm", "rgb_to_gray"]
 
 _WHITESPACE = b" \t\n\r\v\f"
+# A token after any whitespace bytes and comments: a run of bytes that are
+# neither.  The lookahead ends a comment only at a newline or the end, and
+# whitespace goes one byte per repetition, as a nested run backtracks
+# exponentially on a header with no token.
+_TOKEN = re.compile(rb"(?:[ \t\n\r\v\f]|#[^\n]*(?![^\n]))*([^ \t\n\r\v\f#]+)")
 
 
 def _next_token(buf, pos):
     """Returns (token bytes, position after token), skipping comments."""
-    n = len(buf)
-    while pos < n:
-        c = buf[pos:pos + 1]
-        if c in (b"#",):
-            while pos < n and buf[pos:pos + 1] != b"\n":
-                pos += 1
-        elif c in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    if pos >= n:
+    match = _TOKEN.match(buf, pos)
+    if match is None:
         raise IntegrityError("netpbm header ended before all fields were read")
-    start = pos
-    while pos < n and buf[pos:pos + 1] not in _WHITESPACE and buf[pos:pos + 1] != b"#":
-        pos += 1
-    return buf[start:pos], pos
+    return match.group(1), match.end()
 
 
 def _int_token(buf, pos, what):

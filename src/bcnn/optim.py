@@ -73,8 +73,8 @@ def adam_step(state, params, grads):
     m and v track exponential moving averages of the gradient and its
     square; each is divided by ``1 - beta**t`` so early steps are not
     biased toward zero, and the parameter moves by
-    ``-lr * m_hat / (sqrt(v_hat) + eps)``.  Returns ``(state, params)``,
-    both updated in place.
+    ``-lr * m_hat / (sqrt(v_hat) + eps)``.  Updates ``state`` and
+    ``params`` in place.
     """
     _validate_grads(params, grads, mirrors=(state.m, state.v))
     state.t += 1
@@ -89,7 +89,6 @@ def adam_step(state, params, grads):
         m_hat = m / bc1
         v_hat = v / bc2
         p.data -= state.lr * m_hat / (np.sqrt(v_hat) + _EPS)
-    return state, params
 
 
 def sgd_step(params, grads, lr):
@@ -98,4 +97,3 @@ def sgd_step(params, grads, lr):
     _validate_grads(params, grads)
     for name, p in params.items():
         p.data -= rate * grads[name]
-    return params

@@ -14,7 +14,8 @@ smaller than them.  ReLU keeps its output, the array it returns and the
 next layer reads, and recomputes its mask from it in backward.  Max
 pooling keeps each window's winner as booleans, 4 bytes per pooled
 element, not the conv output it pooled.  The conv keeps its input and
-kernel and rebuilds its im2col columns in backward, one image at a time.
+kernel; it pads one image at a time into one reused zero-bordered buffer
+and builds that image's columns or planes from it, in backward too.
 Conventions fixed here and relied on everywhere else:
 
 - image batches are laid out ``(batch, channels, height, width)``;
@@ -134,48 +135,48 @@ def _mask(won):
 # conv2d
 
 
-def _pad(x, ph, pw):
-    """``x`` with ``ph`` zero rows and ``pw`` zero columns added on each
-    side: np.pad's bytes, without its per-call Python-level work."""
-    batch, chans, height, width = x.shape
-    xp = np.zeros((batch, chans, height + 2 * ph, width + 2 * pw), dtype=x.dtype)
-    xp[:, :, ph:ph + height, pw:pw + width] = x
-    return xp
+def _padded(x, kh, kw):
+    """Yields each image of ``x`` with ``kh // 2`` zero rows and ``kw // 2``
+    zero columns on each side, np.pad's bytes, in one zero-bordered buffer
+    allocated once: each image must be used before the next is asked for."""
+    chans, height, width = x.shape[1:]
+    ph, pw = kh // 2, kw // 2
+    buf = np.zeros((chans, height + kh - 1, width + kw - 1), dtype=x.dtype)
+    for image in x:
+        buf[:, ph:ph + height, pw:pw + width] = image
+        yield buf
 
 
-def _patches(xp, kh, kw):
-    """A view of every ``kh x kw`` patch of a padded batch, laid out
-    ``(B, C, kh, kw, out_h, out_w)``.  Reshaping one image's slice to
-    ``(C*kh*kw, out_h*out_w)`` copies out that image's im2col columns."""
-    batch, chans, height, width = xp.shape
-    s_b, s_c, s_h, s_w = xp.strides
+def _columns(image, kh, kw):
+    """A copy of a padded image's im2col columns, ``(C*kh*kw, out_h*out_w)``."""
+    chans, height, width = image.shape
+    s_c, s_h, s_w = image.strides
     return np.lib.stride_tricks.as_strided(
-        xp, (batch, chans, kh, kw, height - kh + 1, width - kw + 1),
-        (s_b, s_c, s_h, s_w, s_h, s_w), writeable=False)
+        image, (chans, kh, kw, height - kh + 1, width - kw + 1),
+        (s_c, s_h, s_w, s_h, s_w), writeable=False).reshape(chans * kh * kw, -1)
 
 
-def _correlate(xp, w, rhs=None):
-    """Correlates an already padded input with ``w`` at every position the
-    kernel fits, ``(H-kh+1) x (W-kw+1)``, one image at a time.
+def _correlate(x, w, rhs=None):
+    """Same-padded correlation of an unpadded batch with ``w``, one image
+    at a time; the output keeps the input's extent.
 
-    Each image's ``kh*kw``-fold buffer, its im2col columns or its
-    shift-accumulate planes, is built and used at once, while it is still
-    in cache, and the results go into one preallocated output.  With
-    ``rhs`` (B, out_h*out_w, M), which only the im2col path takes, each
-    image's columns are also multiplied by ``rhs[b]``; returns the output
-    and these ``(B, C_in*kh*kw, M)`` products, or None for them.
+    Each image is padded into one reused buffer (:func:`_padded`), and its
+    ``kh*kw``-fold buffer, its im2col columns or its shift-accumulate
+    planes, is built from that and used at once, while it is still in
+    cache; the results go into one preallocated output.  With ``rhs``
+    (B, H*W, M), which only the im2col path takes, each image's columns
+    are also multiplied by ``rhs[b]``; returns the output and these
+    ``(B, C_in*kh*kw, M)`` products, or None for them.
     """
-    batch, c_in, height, width = xp.shape
+    batch, c_in, height, width = x.shape
     c_out, _, kh, kw = w.shape
-    out_h, out_w = height - kh + 1, width - kw + 1
-    out = np.empty((batch, c_out, out_h, out_w), dtype=np.result_type(xp, w))
+    out = np.empty((batch, c_out, height, width), dtype=np.result_type(x, w))
     if c_in <= c_out:
-        patches = _patches(xp, kh, kw)
         w_rows = w.reshape(c_out, c_in * kh * kw)
         prods = None if rhs is None else np.empty((batch, c_in * kh * kw, rhs.shape[2]),
-                                                  dtype=np.result_type(xp, rhs))
-        for b in range(batch):
-            cols = patches[b].reshape(c_in * kh * kw, -1)
+                                                  dtype=np.result_type(x, rhs))
+        for b, image in enumerate(_padded(x, kh, kw)):
+            cols = _columns(image, kh, kw)
             np.matmul(w_rows, cols, out=out[b].reshape(c_out, -1))
             if rhs is not None:
                 np.matmul(cols, rhs[b], out=prods[b])
@@ -183,11 +184,11 @@ def _correlate(xp, w, rhs=None):
     # Kernel rows (o, i, j) times the input; output (o, y, x) then sums plane
     # (o, i, j) at (y + i, x + j) over the taps, in row-major tap order.
     rows = w.transpose(0, 2, 3, 1).reshape(c_out * kh * kw, c_in)
-    for b in range(batch):
-        planes = np.matmul(rows, xp[b].reshape(c_in, -1)).reshape(c_out, kh, kw, height, width)
+    for b, image in enumerate(_padded(x, kh, kw)):
+        planes = np.matmul(rows, image.reshape(c_in, -1)).reshape(c_out, kh, kw, *image.shape[1:])
         s_o, s_i, s_j, s_y, s_x = planes.strides
         taps = np.lib.stride_tricks.as_strided(
-            planes, (c_out, kh, kw, out_h, out_w), (s_o, s_i + s_y, s_j + s_x, s_y, s_x),
+            planes, (c_out, kh, kw, height, width), (s_o, s_i + s_y, s_j + s_x, s_y, s_x),
             writeable=False)
         # -0.0 is the exact additive identity, so the sum equals adding the
         # taps one by one onto a copy of the first, an all -0.0 sum included.
@@ -199,18 +200,17 @@ def conv2d(x, w, bias):
     """Same-padded, stride-1 2-D cross-correlation over a batch.
 
     ``x`` is (B, C_in, H, W), ``w`` is (C_out, C_in, kh, kw) with odd
-    ``kh`` and ``kw``, ``bias`` is (C_out,).  The input gets ``kh // 2``
-    zero rows and ``kw // 2`` zero columns on each side, so the output
-    is (B, C_out, H, W).
+    ``kh`` and ``kw``, ``bias`` is (C_out,).  Each image is padded by
+    :func:`_padded`, so the output is (B, C_out, H, W).
 
     The GEMM unfolds the narrower side of the layer, chosen from the
     channel counts alone.  With ``C_in <= C_out`` each image's input is
     unrolled into ``C_in*kh*kw`` patch rows (im2col) and multiplied by
     the kernel.  With ``C_in > C_out`` the kernel rows ``(o, i, j)``
     multiply each padded image directly and the ``kh*kw`` shifted output
-    planes are summed (shift-accumulate).  Either way the
-    ``kh*kw``-fold buffer holds one image and is dropped at once; the
-    context keeps the caller's input array and the kernel, not the
+    planes are summed (shift-accumulate).  Either way the padded image
+    and the ``kh*kw``-fold buffer hold one image and are dropped at once;
+    the context keeps the caller's input array and the kernel, not the
     columns.
     """
     _require(x.ndim == 4, f"conv2d input must be rank 4, got rank {x.ndim}")
@@ -224,9 +224,9 @@ def conv2d(x, w, bias):
     _require(bias.shape == (c_out,),
              f"bias shape {bias.shape} does not match {c_out} output channels")
 
-    out, _ = _correlate(_pad(x, kh // 2, kw // 2), w)
+    out, _ = _correlate(x, w)
     out += bias[None, :, None, None]
-    # "x_shape" repeats x.shape because bench/tracing.py reads it to count FLOPs.
+    # "x_shape" repeats x.shape; only bench/tracing.py reads it, to count FLOPs.
     return out, OpContext("conv2d", {"w": w, "x": x, "x_shape": x.shape})
 
 
@@ -246,7 +246,7 @@ def conv2d_backward(ctx, grad_out, input_grad=True):
     """
     saved = _take(ctx, "conv2d")
     w, x = saved["w"], saved["x"]
-    batch, c_in, height, width = saved["x_shape"]
+    batch, c_in, height, width = x.shape
     c_out, _, kh, kw = w.shape
     _require(grad_out.shape == (batch, c_out, height, width),
              f"conv2d upstream gradient has shape {grad_out.shape}, "
@@ -256,19 +256,17 @@ def conv2d_backward(ctx, grad_out, input_grad=True):
     flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     if c_in <= c_out:
         # im2col layers rebuild each image's columns from the saved input.
-        d_x = _correlate(_pad(grad_out, kh // 2, kw // 2), flipped)[0] if input_grad else None
-        patches = _patches(_pad(x, kh // 2, kw // 2), kh, kw)
+        d_x = _correlate(grad_out, flipped)[0] if input_grad else None
         g = grad_out.reshape(batch, c_out, height * width)
         # The columns, the larger GEMM operand, go in untransposed and the
         # gradient transposed; d_w is transposed once, after the sum.
         parts = np.empty((batch, c_in * kh * kw, c_out), dtype=np.result_type(g, x))
-        for b in range(batch):
-            np.matmul(patches[b].reshape(c_in * kh * kw, -1), g[b].T, out=parts[b])
+        for b, image in enumerate(_padded(x, kh, kw)):
+            np.matmul(_columns(image, kh, kw), g[b].T, out=parts[b])
         d_w = parts.sum(axis=0).T.reshape(w.shape)
     else:
         # Shift-accumulate layers take d_w from the input-gradient correlation's columns.
-        d_x, parts = _correlate(_pad(grad_out, kh // 2, kw // 2), flipped,
-                                rhs=x.reshape(batch, c_in, -1).transpose(0, 2, 1))
+        d_x, parts = _correlate(grad_out, flipped, rhs=x.reshape(batch, c_in, -1).transpose(0, 2, 1))
         d_w = parts.sum(axis=0)
         d_w = d_w.reshape(c_out, kh, kw, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
     return (d_x if input_grad else None), d_w, d_bias

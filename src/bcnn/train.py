@@ -16,9 +16,11 @@ OpenBLAS cannot be held, both halves run one after the other on one
 worker thread, with the same bits as on two threads at the same BLAS
 thread count.
 
-:func:`train` runs under ``np.errstate(over="raise", invalid="raise")``,
-so a diverging run stops at its first overflow or invalid value with a
-:class:`TrainingError`, and numpy prints no warning on the way.
+:func:`train` and :func:`evaluate` run under
+``np.errstate(over="raise", invalid="raise")``, so a diverging run stops
+at its first overflow or invalid value with a :class:`TrainingError`, an
+evaluation that overflows raises :class:`NumericError`, and numpy prints
+no warning on the way.
 """
 
 import contextlib
@@ -247,7 +249,8 @@ def train(manifest, model_config, train_config):
 
 def evaluate(params, manifest, batch_size=32, *, input_size):
     """Runs the model over a corpus, each image resized to ``input_size``
-    square; returns (ConfusionMatrix, report)."""
+    square; returns (ConfusionMatrix, report).  An overflow or invalid
+    value in the forward pass raises :class:`NumericError`."""
     if not manifest.items:
         raise CorpusError("cannot evaluate an empty manifest")
     classes = params["head_b"].shape[0]
@@ -255,9 +258,12 @@ def evaluate(params, manifest, batch_size=32, *, input_size):
         raise ConsistencyError(
             f"manifest has {len(manifest.class_names)} classes but the model expects {classes}")
     cm = ConfusionMatrix(manifest.class_names)
-    with _shard_runner() as run:
+    with _shard_runner() as run, np.errstate(over="raise", invalid="raise"):
         for x, y in to_batches(manifest, batch_size, shuffle_seed=None, size=input_size):
-            logits = _sharded_forward(run, params, x)[0]
+            try:
+                logits = _sharded_forward(run, params, x)[0]
+            except FloatingPointError as exc:
+                raise NumericError(f"evaluation failed: {exc}") from exc
             cm.accumulate(y, np.argmax(logits, axis=1))
     return cm, report_from_matrix(cm)
 
@@ -276,7 +282,9 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(path, checkpoint):
     """Serializes a checkpoint of this build's version; identical inputs
-    give identical bytes."""
+    give identical bytes.  A parameter with a value that is not finite as
+    float32 raises :class:`NumericError`, as :func:`load_checkpoint` would
+    refuse it."""
     if checkpoint.version != CHECKPOINT_VERSION:
         raise ConsistencyError(f"cannot write checkpoint version {checkpoint.version!r}; "
                                f"this build writes {CHECKPOINT_VERSION}")
@@ -293,19 +301,25 @@ def save_checkpoint(path, checkpoint):
     out += struct.pack("<II", config.classes, config.seed)
     out += struct.pack("<I", len(checkpoint.params))
     for name, tensor in checkpoint.params.items():
+        with np.errstate(over="ignore"):
+            payload = np.ascontiguousarray(tensor.data, dtype="<f4")
+        if not np.isfinite(payload).all():
+            raise NumericError(f"cannot write tensor '{name}': it holds a value that is not "
+                               f"finite as float32")
         encoded = name.encode("utf-8")
         out += struct.pack("<I", len(encoded))
         out += encoded
         out += struct.pack(f"<I{len(tensor.shape)}I", len(tensor.shape), *tensor.shape)
-        out += np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
+        out += payload.tobytes()
     write_atomic(path, bytes(out))
 
 
 def load_checkpoint(path):
     """Reads a checkpoint and checks each tensor once against its config.
 
-    Each tensor must be one the config names, appear once, and have the
-    config's rank and extents, and the file must end after the last one.
+    Each tensor must be one the config names, appear once, have the
+    config's rank and extents and hold only finite values, and the file
+    must end after the last one.
     Bad magic raises :class:`FormatError`, an unsupported version
     :class:`VersionError`, and everything else (an invalid config,
     truncation, an undecodable name, a tensor that breaks the rule)
@@ -362,6 +376,8 @@ def load_checkpoint(path):
             raise IntegrityError(
                 f"tensor '{name}' does not have its config's rank and extents {shape}")
         data = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+        if not np.isfinite(data).all():
+            raise IntegrityError(f"tensor '{name}' holds a value that is not finite")
         params[name] = Tensor(data.astype(np.float32, copy=True))
     if pos != len(buf):
         raise IntegrityError(f"checkpoint has {len(buf) - pos} trailing bytes")

@@ -1,6 +1,7 @@
 """End-to-end command-line coverage: every subcommand plus the exit-code
 taxonomy (0 ok, 1 usage, 2 runtime, 3 failed gradient check)."""
 
+import math
 import os
 import shutil
 import struct
@@ -389,6 +390,34 @@ def test_a_class_name_that_is_not_utf8_exits_2_and_writes_nothing(
         assert main(argv) == 2, argv
         assert "not valid UTF-8" in capsys.readouterr().err
     assert not (out.exists() or report.exists() or ckpt.exists())
+
+
+def _with_tensor_filled(checkpoint, name, value):
+    """The bytes of ``checkpoint`` with every float of tensor ``name`` set to ``value``."""
+    at = checkpoint.index(name.encode()) + len(name)
+    (rank,) = struct.unpack_from("<I", checkpoint, at)
+    count = math.prod(struct.unpack_from(f"<{rank}I", checkpoint, at + 4))
+    start = at + 4 + 4 * rank
+    return (checkpoint[:start] + struct.pack(f"<{count}f", *[value] * count)
+            + checkpoint[start + 4 * count:])
+
+
+@pytest.mark.parametrize("name, value", [("head_w", math.nan), ("head_w", math.inf),
+                                         ("fwd1_w", 3e38)])
+def test_a_non_finite_or_overflowing_checkpoint_exits_2_with_one_error_line(
+        tmp_path, corpus_dir, run_dir, capsys, name, value):
+    # A NaN or inf payload fails to load; 3e38 loads, and the first conv
+    # overflows.  The suite turns any numpy RuntimeWarning into an error.
+    bad = tmp_path / "bad.bcnn"
+    bad.write_bytes(_with_tensor_filled((run_dir / "model.bcnn").read_bytes(), name, value))
+    report = tmp_path / "report.csv"
+    image = corpus_dir / "fatigue" / "fatigue_0000.pgm"
+    for argv in (["predict", "--image", str(image)],
+                 ["eval", "--data", str(corpus_dir), "--report", str(report)]):
+        assert main(argv + ["--checkpoint", str(bad)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not report.exists()
 
 
 def test_predict_rejects_corrupt_checkpoint_exit_2(tmp_path, corpus_dir, run_dir, capsys):

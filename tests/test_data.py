@@ -104,6 +104,29 @@ def test_pgm_header_comments_are_skipped(tmp_path):
     assert np.array_equal(read_image(path), np.array([[10, 20], [30, 40]], dtype=np.uint8))
 
 
+def test_pgm_header_comment_that_runs_to_the_end_is_truncation(tmp_path):
+    from bcnn.errors import IntegrityError
+    path = tmp_path / "c.pgm"
+    for header in (b"P5 2 2 # no maxval follows", b"P5 2 2 #", b"P5 2 2 # a\n#b 255"):
+        path.write_bytes(header)
+        with pytest.raises(IntegrityError, match="header ended"):
+            read_image(path)
+
+
+def test_pgm_header_comment_may_follow_a_token_directly(tmp_path):
+    path = tmp_path / "c.pgm"
+    path.write_bytes(b"P5#a\n2#b 9\n1#c\n255\n" + bytes([7, 8]))
+    assert np.array_equal(read_image(path), np.array([[7, 8]], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("space", list(b" \t\n\r\v\f"), ids=repr)
+def test_pgm_header_tokens_split_at_each_whitespace_byte(tmp_path, space):
+    sep = bytes([space])
+    path = tmp_path / "w.pgm"
+    path.write_bytes(sep.join([b"P5", b"2", b"1", b"255"]) + sep + bytes([3, 4]))
+    assert np.array_equal(read_image(path), np.array([[3, 4]], dtype=np.uint8))
+
+
 def test_pgm_rejects_unknown_magic_and_maxval(tmp_path):
     from bcnn.errors import FormatError
     bad_magic = tmp_path / "a.pgm"

@@ -6,6 +6,7 @@ reassembly), never copied from the implementation.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from bcnn.errors import BcnnError, ConsistencyError, DimensionError, DTypeError,
 from bcnn.model import softmax_xent
 from bcnn.tensor import (
     Tensor,
-    _pad,
+    _padded,
     concat_channels,
     concat_channels_backward,
     conv2d,
@@ -654,18 +655,61 @@ def test_conv2d_paths_agree_for_any_stride_pad_and_kernel():
 
 
 def test_conv2d_padding_matches_a_pre_padded_input_bit_for_bit():
-    # conv2d's own zero padding and np.pad's both write +0.0 around the
-    # input's own bits, negative zeros included.
+    # conv2d's own zero padding and np.pad's both write +0.0 around each
+    # image's own bits, an interior negative zero included.  The generator
+    # reuses one buffer, so each image is compared before the next is made.
     rng = np.random.default_rng(37)
     for dtype in (np.float32, np.float64):
-        x = rng.standard_normal((2, 3, 7, 6)).astype(dtype)
-        x[0, 0, 0, 0] = -0.0
-        for ph, pw in ((0, 0), (1, 1), (1, 0), (0, 1), (2, 1), (3, 3)):
-            ref = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-            out = _pad(x, ph, pw)
-            case = (dtype.__name__, ph, pw)
-            assert out.dtype == dtype and out.shape == ref.shape, case
-            assert out.tobytes() == ref.tobytes(), case
+        x = rng.standard_normal((3, 2, 7, 6)).astype(dtype)
+        x[:, 0, 3, 2] = -0.0
+        for kh in (1, 3, 5, 7):
+            for kw in (1, 3, 5, 7):
+                ph, pw = kh // 2, kw // 2
+                count = 0
+                for b, image in enumerate(_padded(x, kh, kw)):
+                    ref = np.pad(x[b], ((0, 0), (ph, ph), (pw, pw)))
+                    case = (dtype.__name__, kh, kw, b)
+                    assert image.dtype == dtype and image.shape == ref.shape, case
+                    assert image.tobytes() == ref.tobytes(), case
+                    count += 1
+                assert count == len(x)
+
+
+def _traced_peak_beyond_result(call):
+    """Bytes tracemalloc saw at the peak of ``call()``, less what was held
+    before the call and the arrays it returns."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - base - sum(a.nbytes for a in result)
+
+
+def test_conv2d_allocates_no_padded_batch():
+    # The default model's refine1 on a 16-image half: padding the whole
+    # input at once would take 16 * 48 * 34 * 34 float32s (3.39 MiB).
+    rng = np.random.default_rng(47)
+    x = rng.standard_normal((16, 48, 32, 32)).astype(np.float32)
+    w = rng.standard_normal((16, 48, 3, 3)).astype(np.float32)
+    bias = np.zeros(16, dtype=np.float32)
+    padded_batch = 16 * 48 * 34 * 34 * 4
+    assert _traced_peak_beyond_result(lambda: conv2d(x, w, bias)[:1]) < padded_batch
+
+
+def test_conv2d_backward_allocates_no_padded_gradient():
+    # fwd1's shape on a 16-image half, input gradient included: padding the
+    # whole upstream gradient at once would take 16 * 16 * 66 * 66 float32s
+    # (4.25 MiB).
+    rng = np.random.default_rng(53)
+    x = rng.standard_normal((16, 1, 64, 64)).astype(np.float32)
+    w = rng.standard_normal((16, 1, 3, 3)).astype(np.float32)
+    _, ctx = conv2d(x, w, np.zeros(16, dtype=np.float32))
+    g = rng.standard_normal((16, 16, 64, 64)).astype(np.float32)
+    padded_gradient = 16 * 16 * 66 * 66 * 4
+    assert _traced_peak_beyond_result(lambda: conv2d_backward(ctx, g)) < padded_gradient
 
 
 def test_conv2d_backward_is_the_adjoint_of_conv2d():

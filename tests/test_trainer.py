@@ -23,6 +23,7 @@ from bcnn.errors import (
     CorpusError,
     FormatError,
     IntegrityError,
+    NumericError,
     TrainingError,
     VersionError,
 )
@@ -521,6 +522,28 @@ def test_checkpoint_tensors_must_match_the_config_one_by_one(tmp_path, case):
     path.write_bytes(_BAD_FILES[case](_model_arrays()))
     with pytest.raises(IntegrityError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_checkpoint_rejects_a_non_finite_payload_naming_the_tensor(tmp_path, value):
+    arrays = _model_arrays()
+    arrays["refine1_w"] = arrays["refine1_w"].copy()
+    arrays["refine1_w"].flat[5] = value
+    path = tmp_path / "bad.bcnn"
+    path.write_bytes(_encode(list(arrays.items())))
+    with pytest.raises(IntegrityError, match="'refine1_w'.*not finite"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_save_refuses_what_load_would_refuse(tmp_path):
+    # A float64 value above float32's range is finite until it is written.
+    for value in (math.nan, math.inf, 1e39):
+        params = build_model(MODEL, dtype=np.float64)
+        params["head_b"].data[1] = value
+        path = tmp_path / "bad.bcnn"
+        with pytest.raises(NumericError, match="'head_b'"):
+            save_checkpoint(path, Checkpoint(1, MODEL, params))
+        assert not path.exists()
 
 
 def test_checkpoint_from_a_reordered_params_dict_loads_bit_for_bit(tmp_path):
