@@ -219,7 +219,7 @@ def _cmd_predict(args):
     x = resize_nn(pixels, size).astype(np.float32) / np.float32(255.0)
     with np.errstate(over="raise", invalid="raise"):
         try:
-            logits, _ = forward(ckpt.params, Tensor(x[None, None, :, :]))
+            logits, _ = forward(ckpt.params, Tensor(x[None, None, :, :]), record=False)
             z = logits.data[0]
             exp = np.exp(z - z.max())
             probs = exp / exp.sum()

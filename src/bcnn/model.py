@@ -169,12 +169,15 @@ def _gap_backward(grad, shape):
     return np.broadcast_to((grad * scale)[:, :, None, None], shape)
 
 
-def forward(params, batch):
+def forward(params, batch, *, record=True):
     """Runs the cascade; returns ``(logits, trace)``.
 
     ``batch`` must be a rank-4, square Tensor.  Its channel count must
     match the first conv kernel, and its extents must halve evenly
-    ``stages`` times; the conv and pooling ops check both.
+    ``stages`` times; the conv and pooling ops check both.  With
+    ``record=False``, for a pass no backward follows, no context is kept,
+    each intermediate array is freed once no later layer reads it, and
+    the trace is None; the logits are the same bits.
     """
     stages = _stage_count(params)
     if len(batch.shape) != 4:
@@ -185,28 +188,30 @@ def forward(params, batch):
     p = {name: t.data for name, t in params.items()}
     ctxs = []
 
-    def record(result):
+    def keep(result):
         out, ctx = result
-        ctxs.append(ctx)
+        if record:
+            ctxs.append(ctx)
         return out
 
     f_maps = []
     cur = batch.data
     for k in range(1, stages + 1):
-        conv_out = record(conv2d(cur, p[f"fwd{k}_w"], p[f"fwd{k}_b"]))
-        cur = record(relu(record(maxpool2(conv_out))))
+        conv_out = keep(conv2d(cur, p[f"fwd{k}_w"], p[f"fwd{k}_b"]))
+        cur = keep(relu(keep(maxpool2(conv_out, record=record))))
         f_maps.append(cur)
 
     coarse = f_maps[-1]
     for k in range(stages - 1, 0, -1):
-        fused = record(concat_channels(f_maps[k - 1], record(upsample2(coarse))))
-        conv_out = record(conv2d(fused, p[f"refine{k}_w"], p[f"refine{k}_b"]))
-        coarse = record(relu(conv_out))
+        fused = keep(concat_channels(f_maps[k - 1], keep(upsample2(coarse))))
+        conv_out = keep(conv2d(fused, p[f"refine{k}_w"], p[f"refine{k}_b"]))
+        coarse = keep(relu(conv_out))
 
     # ``coarse`` is now B_1; the head reads the global average pools of B_1 and F_K.
     pooled_vec = np.concatenate([coarse.mean(axis=(2, 3)), f_maps[-1].mean(axis=(2, 3))], axis=1)
-    logits = record(dense(pooled_vec, p["head_w"], p["head_b"]))
-    return Tensor(logits), ForwardTrace(ctxs, {name: a.shape for name, a in p.items()})
+    logits = keep(dense(pooled_vec, p["head_w"], p["head_b"]))
+    trace = ForwardTrace(ctxs, {name: a.shape for name, a in p.items()}) if record else None
+    return Tensor(logits), trace
 
 
 def backward(params, trace, d_logits):
@@ -217,9 +222,12 @@ def backward(params, trace, d_logits):
     and each upstream gradient is dropped once consumed, so the saved
     arrays are freed while the pass goes on and the stack ends empty.
     A trace therefore serves exactly one backward.  Raises
-    :class:`ConsistencyError` if ``trace`` was recorded with a
-    differently-shaped parameter set or a backward has already used it.
+    :class:`ConsistencyError` if ``trace`` is None (a record-free
+    forward's), was recorded with a differently-shaped parameter set, or
+    a backward has already used it.
     """
+    if trace is None:
+        raise ConsistencyError("trace-less forward; run forward with record=True")
     if trace.param_shapes != {name: t.shape for name, t in params.items()}:
         raise ConsistencyError("trace was recorded for a different parameter set")
     ctxs = trace.ctxs
@@ -389,7 +397,7 @@ def full_model_gradcheck(seed=0):
     grads = backward(params, trace, d_logits)
 
     def loss_now(_array):
-        out, _ = forward(params, x)
+        out, _ = forward(params, x, record=False)
         return softmax_xent(out.data, y)[0]
 
     errors = {}

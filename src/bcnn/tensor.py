@@ -6,16 +6,18 @@ ndarrays.  A Tensor holds only the parameters, the batch that
 loss, optimizer state and ``to_batches``' batches are plain ndarrays.
 
 Every primitive returns its output together with an :class:`OpContext`
-holding exactly the values its backward rule needs; there is no autodiff
-graph.  ``bcnn.model.forward`` pushes the contexts onto one stack in
-application order, and ``backward`` pops them.  A context holds arrays
-the forward pass computes anyway, its inputs or its output, or a record
-smaller than them.  ReLU keeps its output, the array it returns and the
-next layer reads, and recomputes its mask from it in backward.  Max
-pooling keeps each window's winner as booleans, 4 bytes per pooled
-element, not the conv output it pooled.  The conv keeps its input and
-kernel; it pads one image at a time into one reused zero-bordered buffer
-and builds that image's columns or planes from it, in backward too.
+holding exactly the values its backward rule needs, or None from
+``maxpool2(x, record=False)``; there is no autodiff graph.
+``bcnn.model.forward`` pushes the contexts onto one stack in application
+order, unless it runs with ``record=False``, and ``backward`` pops them.
+A context holds arrays the forward pass computes anyway, its inputs or
+its output, or a record smaller than them.  ReLU keeps its output, the
+array it returns and the next layer reads, and recomputes its mask from
+it in backward.  Max pooling keeps each window's winner as booleans, 4
+bytes per pooled element, not the conv output it pooled.  The conv keeps
+its input and kernel; it pads one image at a time into one reused
+zero-bordered buffer and builds that image's columns or planes from it,
+in backward too.
 Conventions fixed here and relied on everywhere else:
 
 - image batches are laid out ``(batch, channels, height, width)``;
@@ -276,7 +278,7 @@ def conv2d_backward(ctx, grad_out, input_grad=True):
 # maxpool2
 
 
-def maxpool2(x):
+def maxpool2(x, *, record=True):
     """2x2 max pooling with stride 2.
 
     Both spatial extents must be even; odd inputs are rejected so the
@@ -292,7 +294,8 @@ def maxpool2(x):
     element won, and per window whether the top row won and whether the
     bottom row won, both False when a NaN is in the window (every
     comparison with NaN is False).  These booleans take 4 bytes per pooled
-    element; with them go ``x``'s shape and dtype.
+    element; with them go ``x``'s shape and dtype.  With ``record=False``
+    the tournament's two maxima alone run, and the context is None.
     """
     _require(x.ndim == 4, f"maxpool2 input must be rank 4, got rank {x.ndim}")
     height, width = x.shape[2:]
@@ -300,14 +303,14 @@ def maxpool2(x):
         raise DimensionError(
             f"maxpool2 needs even spatial extents, got {height}x{width}; pad or resize the input")
     left, right = x[..., 0::2], x[..., 1::2]
-    right_won = np.greater(right, left)
     rows = np.maximum(left, right)
     top, bottom = rows[:, :, 0::2], rows[:, :, 1::2]
-    top_won = np.greater_equal(top, bottom)
-    bottom_won = np.greater(bottom, top)
     out = np.maximum(top, bottom)
-    return out, OpContext("maxpool2", {"right_won": right_won, "top_won": top_won,
-                                       "bottom_won": bottom_won,
+    if not record:
+        return out, None
+    return out, OpContext("maxpool2", {"right_won": np.greater(right, left),
+                                       "top_won": np.greater_equal(top, bottom),
+                                       "bottom_won": np.greater(bottom, top),
                                        "x_shape": x.shape, "dtype": x.dtype})
 
 

@@ -158,10 +158,11 @@ def _halves(n):
     return [slice(0, cut), slice(cut, n)] if n >= 2 else [slice(0, n)]
 
 
-def _sharded_forward(run, params, x):
-    """The whole batch's logits, the shards, and each shard's trace."""
+def _sharded_forward(run, params, x, *, record):
+    """The whole batch's logits, the shards, and each shard's trace (None
+    without ``record``)."""
     shards = _halves(x.shape[0])
-    outs = run(lambda s: forward(params, Tensor(x[s])), shards)
+    outs = run(lambda s: forward(params, Tensor(x[s]), record=record), shards)
     logits = np.concatenate([shard_logits.data for shard_logits, _ in outs])
     return logits, shards, [trace for _, trace in outs]
 
@@ -170,7 +171,7 @@ def _sharded_gradients(run, params, x, y):
     """Parameter gradients of one batch: each shard's backward gets its
     rows of the whole batch's ``d_logits``, and the shards' gradients are
     added in shard order.  The traces are freed on return."""
-    logits, shards, traces = _sharded_forward(run, params, x)
+    logits, shards, traces = _sharded_forward(run, params, x, record=True)
     _, d_logits = softmax_xent(logits, y)
     parts = run(lambda i: backward(params, traces[i], d_logits[shards[i]]), range(len(shards)))
     return {name: functools.reduce(np.add, (part[name] for part in parts)) for name in parts[0]}
@@ -181,7 +182,7 @@ def _epoch_metrics(run, params, manifest, batch_size, size, where):
     total_loss, correct, seen = 0.0, 0, 0
     for x, y in to_batches(manifest, batch_size, shuffle_seed=None, size=size):
         try:
-            logits = _sharded_forward(run, params, x)[0]
+            logits = _sharded_forward(run, params, x, record=False)[0]
             loss, _ = softmax_xent(logits, y)
         except (NumericError, FloatingPointError) as exc:
             raise TrainingError(f"non-finite loss during {where}: {exc}") from exc
@@ -261,7 +262,7 @@ def evaluate(params, manifest, batch_size=32, *, input_size):
     with _shard_runner() as run, np.errstate(over="raise", invalid="raise"):
         for x, y in to_batches(manifest, batch_size, shuffle_seed=None, size=input_size):
             try:
-                logits = _sharded_forward(run, params, x)[0]
+                logits = _sharded_forward(run, params, x, record=False)[0]
             except FloatingPointError as exc:
                 raise NumericError(f"evaluation failed: {exc}") from exc
             cm.accumulate(y, np.argmax(logits, axis=1))

@@ -137,6 +137,17 @@ def test_forward_logit_shape_and_finiteness():
     assert np.isfinite(logits.data).all()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_record_free_forward_gives_the_same_logit_bits_and_no_trace(dtype):
+    config = ModelConfig(input_size=32, channels=(4, 6, 8))
+    params = build_model(config, dtype)
+    x = Tensor(np.random.default_rng(3).standard_normal((3, 1, 32, 32)), dtype=dtype)
+    logits, _ = forward(params, x)
+    bare, trace = forward(params, x, record=False)
+    assert trace is None
+    assert bare.data.dtype == dtype and bare.data.tobytes() == logits.data.tobytes()
+
+
 def test_forward_identical_rows_give_identical_logits():
     config = ModelConfig()
     params = build_model(config)
@@ -271,6 +282,9 @@ def test_backward_refuses_a_used_trace():
     backward(params, trace, upstream)
     with pytest.raises(ConsistencyError, match="already used"):
         backward(params, trace, upstream)
+    _, no_trace = forward(params, batch_of(np.random.default_rng(9), TINY, 2), record=False)
+    with pytest.raises(ConsistencyError, match="trace-less forward"):
+        backward(params, no_trace, upstream)
 
 
 def test_backward_peak_memory_of_a_default_half_stays_under_26_mib():

@@ -200,6 +200,9 @@ def test_maxpool2_matches_the_corner_rule_bit_for_bit(data):
     d_x = maxpool2_backward(ctx, grad)
     assert out.dtype == x_dtype and out.tobytes() == want_out.tobytes()
     assert d_x.dtype == x_dtype and d_x.tobytes() == want_dx.tobytes()
+    bare, no_ctx = maxpool2(x, record=False)
+    assert no_ctx is None
+    assert bare.dtype == x_dtype and bare.tobytes() == want_out.tobytes()
 
 
 def test_maxpool2_context_keeps_a_winner_record_not_the_input():

@@ -338,6 +338,30 @@ def test_evaluate_is_deterministic(corpus, trained):
     assert cm_a.matrix.sum() == len(corpus)
 
 
+def test_only_forwards_a_backward_follows_keep_a_trace(corpus, monkeypatch):
+    # Each traced forward is a shard whose trace one backward reads; every
+    # metric and evaluation forward runs record-free, so no trace goes unread.
+    # The shards run on two threads, and list.append is atomic.
+    calls = []
+
+    def counting_forward(params, batch, *, record=True):
+        calls.append("recorded" if record else "bare")
+        return forward(params, batch, record=record)
+
+    def counting_backward(*args):
+        calls.append("backward")
+        return backward(*args)
+
+    monkeypatch.setattr(bcnn.train, "forward", counting_forward)
+    monkeypatch.setattr(bcnn.train, "backward", counting_backward)
+    params, _ = train(corpus, MODEL, TrainConfig(epochs=2, batch_size=8, seed=1))
+    in_train = list(calls)
+    evaluate(params, corpus, batch_size=8, input_size=32)
+    assert in_train.count("backward") > 0
+    assert in_train.count("recorded") == in_train.count("backward") == calls.count("recorded")
+    assert calls.count("bare") > in_train.count("bare") > 0
+
+
 def test_evaluate_validation(trained):
     _, params, _ = trained
     with pytest.raises(CorpusError):
