@@ -14,7 +14,7 @@ class DimensionError(BcnnError):
 
 
 class DTypeError(BcnnError, TypeError):
-    """An array has a dtype the operation does not accept."""
+    """An array has a dtype, or a value a type, the operation does not accept."""
 
 
 class ConfigError(BcnnError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MAX_INPUT_SIZE, _is_int, _tuple_of
-from .errors import ConfigError, ConsistencyError, DimensionError, NumericError
+from .errors import ConfigError, ConsistencyError, DimensionError, DTypeError, NumericError
 from .tensor import (Tensor, concat_channels, concat_channels_backward, conv2d,
                      conv2d_backward, dense, dense_backward,
                      finite_diff_gradcheck, maxpool2, maxpool2_backward,
@@ -32,7 +32,6 @@ from .tensor import (Tensor, concat_channels, concat_channels_backward, conv2d,
 
 __all__ = [
     "ModelConfig",
-    "ForwardTrace",
     "parameter_shapes",
     "build_model",
     "forward",
@@ -81,27 +80,6 @@ class ModelConfig:
             raise ConfigError(f"input_size {self.input_size} exceeds {MAX_INPUT_SIZE}")
         if not 0 <= self.seed < 2 ** 32:
             raise ConfigError(f"seed must fit an unsigned 32-bit integer, got {self.seed}")
-
-
-@dataclass
-class ForwardTrace:
-    """Exactly what ``backward`` reads: a stack of op contexts.
-
-    ``ctxs`` lists every op context in application order: stage k's
-    conv, pool and relu for k = 1..K, then the upsample, concat, conv and
-    relu of the refinement producing B_k for k = K-1..1, then the head's
-    dense.  The ReLU contexts of ``fwd{k}`` and ``refine{k}`` hold F_k and
-    B_k, their outputs; F_k is also the input the conv of stage k+1 keeps.
-    Each pooling context holds its winner record, not the conv output it
-    pooled, and each conv context its input and kernel.  ``param_shapes``
-    records the parameter set the pass ran with.
-
-    ``backward`` pops each context once its rule has used it, so the
-    arrays are freed during the pass; a trace serves exactly one backward.
-    """
-
-    ctxs: list
-    param_shapes: dict
 
 
 def parameter_shapes(config):
@@ -162,6 +140,11 @@ def _stage_count(params):
     return k
 
 
+def _layers(params):
+    """Each layer's name (``fwd1``, ..., ``head``) by the id of its kernel array."""
+    return {id(t.data): name[:-2] for name, t in params.items() if name.endswith("_w")}
+
+
 def _gap_backward(grad, shape):
     """A read-only view spreading each pooled gradient over its H*W positions."""
     _, _, height, width = shape
@@ -172,13 +155,24 @@ def _gap_backward(grad, shape):
 def forward(params, batch, *, record=True):
     """Runs the cascade; returns ``(logits, trace)``.
 
-    ``batch`` must be a rank-4, square Tensor.  Its channel count must
+    Every parameter must be a Tensor, and ``batch`` a rank-4, square
+    Tensor (an ndarray raises :class:`DTypeError`).  Its channel count must
     match the first conv kernel, and its extents must halve evenly
-    ``stages`` times; the conv and pooling ops check both.  With
-    ``record=False``, for a pass no backward follows, no context is kept,
-    each intermediate array is freed once no later layer reads it, and
-    the trace is None; the logits are the same bits.
+    ``stages`` times; the conv and pooling ops check both.
+
+    The trace lists every op context in application order: stage k's
+    conv, pool and relu for k = 1..K, then the upsample, concat, conv and
+    relu of the refinement producing B_k for k = K-1..1, then the head's
+    dense.  The ReLU contexts of ``fwd{k}`` and ``refine{k}`` hold F_k and
+    B_k, their outputs; F_k is also the input the conv of stage k+1 keeps.
+    Each pooling context holds its winner record, not the conv output it
+    pooled, and each conv or dense context its input and kernel.  With
+    ``record=False``, for a pass no backward follows, the trace is None
+    and each intermediate is freed once read; the logits are the same bits.
     """
+    for name, value in [("batch", batch), *params.items()]:
+        if not isinstance(value, Tensor):
+            raise DTypeError(f"forward got {name} as {type(value).__name__}; pass Tensor(x)")
     stages = _stage_count(params)
     if len(batch.shape) != 4:
         raise DimensionError(f"input batch must be rank 4, got rank {len(batch.shape)}")
@@ -210,37 +204,37 @@ def forward(params, batch, *, record=True):
     # ``coarse`` is now B_1; the head reads the global average pools of B_1 and F_K.
     pooled_vec = np.concatenate([coarse.mean(axis=(2, 3)), f_maps[-1].mean(axis=(2, 3))], axis=1)
     logits = keep(dense(pooled_vec, p["head_w"], p["head_b"]))
-    trace = ForwardTrace(ctxs, {name: a.shape for name, a in p.items()}) if record else None
-    return Tensor(logits), trace
+    return Tensor(logits), (ctxs if record else None)
 
 
 def backward(params, trace, d_logits):
     """Gradient of the traced forward pass for every parameter.
 
     Takes and returns ndarrays: a dict with exactly the parameter names, shape for shape.
-    Each context is popped off ``trace.ctxs`` as its backward rule runs,
+    Each context is popped off ``trace`` as its backward rule runs,
     and each upstream gradient is dropped once consumed, so the saved
-    arrays are freed while the pass goes on and the stack ends empty.
+    arrays are freed while the pass goes on and the list ends empty.
     A trace therefore serves exactly one backward.  Raises
-    :class:`ConsistencyError` if ``trace`` is None (a record-free
-    forward's), was recorded with a differently-shaped parameter set, or
-    a backward has already used it.
+    :class:`ConsistencyError`, before the first pop, if ``trace`` is None
+    (a record-free forward's) or ``[]`` (used already), or if its conv and
+    dense contexts do not keep exactly the kernel arrays of ``params``,
+    compared by identity: a trace of a same-shaped model is refused too.
     """
     if trace is None:
         raise ConsistencyError("trace-less forward; run forward with record=True")
-    if trace.param_shapes != {name: t.shape for name, t in params.items()}:
-        raise ConsistencyError("trace was recorded for a different parameter set")
-    ctxs = trace.ctxs
-    if not ctxs:
+    if not trace:
         raise ConsistencyError("trace was already used by a backward pass, which frees it; "
                                "run forward again")
+    kernels = sorted(id(ctx.saved["w"]) for ctx in trace if ctx.op in ("conv2d", "dense"))
+    if kernels != sorted(_layers(params)):
+        raise ConsistencyError("trace does not hold exactly this parameter set's kernels")
     stages = _stage_count(params)
 
     grads = {}
-    d_pooled, grads["head_w"], grads["head_b"] = dense_backward(ctxs.pop(), d_logits)
+    d_pooled, grads["head_w"], grads["head_b"] = dense_backward(trace.pop(), d_logits)
     # The head pooled B_1 and F_K, the outputs of refine1's and fwd{K}'s
     # ReLUs; each of those contexts is on top when its shape is read.
-    fine_shape = ctxs[-1].saved["out"].shape
+    fine_shape = trace[-1].saved["out"].shape
     d_gap_fine = d_pooled[:, :fine_shape[1]]
     d_gap_coarse = d_pooled[:, fine_shape[1]:]
 
@@ -252,26 +246,26 @@ def backward(params, trace, d_logits):
     # gradient to the next coarser B.
     d_b = _gap_backward(d_gap_fine, fine_shape)
     for k in range(1, stages):
-        d_conv = relu_backward(ctxs.pop(), d_b)
+        d_conv = relu_backward(trace.pop(), d_b)
         del d_b
-        d_fused, d_w, d_bias = conv2d_backward(ctxs.pop(), d_conv)
+        d_fused, d_w, d_bias = conv2d_backward(trace.pop(), d_conv)
         del d_conv
         grads[f"refine{k}_w"], grads[f"refine{k}_b"] = d_w, d_bias
-        d_fk, d_up = concat_channels_backward(ctxs.pop(), d_fused)
+        d_fk, d_up = concat_channels_backward(trace.pop(), d_fused)
         d_f[k - 1] = d_fk.copy()  # a view would keep all of d_fused alive
-        d_b = upsample2_backward(ctxs.pop(), d_up)
+        d_b = upsample2_backward(trace.pop(), d_up)
         del d_fused, d_fk, d_up
 
     # d_b now holds the gradient into B_K = F_K; add the head's GAP path.
-    d_f[stages - 1] = d_b + _gap_backward(d_gap_coarse, ctxs[-1].saved["out"].shape)
+    d_f[stages - 1] = d_b + _gap_backward(d_gap_coarse, trace[-1].saved["out"].shape)
 
     # Bottom-up stream in reverse: stage K first, handing d(stage input)
     # down to stage K-1's output accumulator.
     for k in range(stages, 0, -1):
-        d_pooled = relu_backward(ctxs.pop(), d_f[k - 1])
+        d_pooled = relu_backward(trace.pop(), d_f[k - 1])
         d_f[k - 1] = None
-        d_conv = maxpool2_backward(ctxs.pop(), d_pooled)
-        d_input, d_w, d_bias = conv2d_backward(ctxs.pop(), d_conv, input_grad=k > 1)
+        d_conv = maxpool2_backward(trace.pop(), d_pooled)
+        d_input, d_w, d_bias = conv2d_backward(trace.pop(), d_conv, input_grad=k > 1)
         del d_conv
         grads[f"fwd{k}_w"], grads[f"fwd{k}_b"] = d_w, d_bias
         if k > 1:
@@ -280,13 +274,17 @@ def backward(params, trace, d_logits):
 
 
 def softmax_xent(logits, targets):
-    """Mean softmax cross-entropy over a batch of logits, an ndarray.
+    """Mean softmax cross-entropy over a batch of logits, an ndarray (a
+    Tensor raises :class:`DTypeError`; pass ``forward``'s ``logits.data``).
 
     Returns ``(loss, d_logits)`` where the ndarray ``d_logits`` is the
     gradient of the mean loss, i.e. ``(softmax - onehot) / batch``.
     Probabilities are computed with the max subtracted per row, so large
     logits do not overflow.
     """
+    if not isinstance(logits, np.ndarray):
+        raise DTypeError(f"softmax_xent takes an ndarray, not {type(logits).__name__}; "
+                         "pass logits.data")
     if logits.ndim != 2:
         raise DimensionError(f"softmax_xent logits must be rank 2, got rank {logits.ndim}")
     batch, classes = logits.shape
@@ -328,16 +326,16 @@ def _kink_margin(trace, params):
     It is measured on the conv outputs, as for the equal rectify-then-pool
     order, so pooling first does not change which inputs pass.  The trace
     does not keep those outputs; each is recomputed, bit for bit, from its
-    conv context's input and kernel and the bias in ``params`` that goes
-    with that kernel.
+    conv context's input and kernel and the bias of the layer that
+    :func:`_layers` names by that kernel.
     """
-    bias = {id(params[name].data): params[name[:-1] + "b"].data
-            for name in params if name.endswith("_w")}
+    layers = _layers(params)
     margin = np.inf
-    for ctx, after in zip(trace.ctxs, trace.ctxs[1:]):
+    for ctx, after in zip(trace, trace[1:]):
         if ctx.op != "conv2d":
             continue
-        pre = conv2d(ctx.saved["x"], ctx.saved["w"], bias[id(ctx.saved["w"])])[0]
+        bias = params[layers[id(ctx.saved["w"])] + "_b"].data
+        pre = conv2d(ctx.saved["x"], ctx.saved["w"], bias)[0]
         margin = min(margin, float(np.abs(pre).min()))
         if after.op != "maxpool2":
             continue

@@ -7,9 +7,10 @@ loss, optimizer state and ``to_batches``' batches are plain ndarrays.
 
 Every primitive returns its output together with an :class:`OpContext`
 holding exactly the values its backward rule needs, or None from
-``maxpool2(x, record=False)``; there is no autodiff graph.
-``bcnn.model.forward`` pushes the contexts onto one stack in application
-order, unless it runs with ``record=False``, and ``backward`` pops them.
+``maxpool2(x, record=False)``; there is no autodiff graph.  The trace of
+``bcnn.model.forward`` is the list of these contexts in application
+order, and ``backward`` pops them; a backward rule handed another op's
+context is a caller bug, and it is not checked.
 A context holds arrays the forward pass computes anyway, its inputs or
 its output, or a record smaller than them.  ReLU keeps its output, the
 array it returns and the next layer reads, and recomputes its mask from
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DimensionError, DTypeError, NumericError
+from .errors import DimensionError, DTypeError, NumericError
 
 __all__ = [
     "Tensor",
@@ -96,12 +97,9 @@ class Tensor:
 
 @dataclass
 class OpContext:
-    """Values saved by a primitive's forward pass for its backward rule.
-
-    ``op`` names the primitive that produced the context; each backward
-    function refuses contexts produced by a different op, so forward and
-    backward calls cannot be mispaired.
-    """
+    """The values a primitive's forward pass saved for its backward rule,
+    which reads only ``saved``; ``op`` names the primitive, for readers
+    that walk a trace."""
 
     op: str
     saved: dict
@@ -110,13 +108,6 @@ class OpContext:
 def _require(cond, message):
     if not cond:
         raise DimensionError(message)
-
-
-def _take(ctx, op):
-    if not isinstance(ctx, OpContext) or ctx.op != op:
-        got = ctx.op if isinstance(ctx, OpContext) else type(ctx).__name__
-        raise ConsistencyError(f"backward for '{op}' received a context for '{got}'")
-    return ctx.saved
 
 
 def _bits(dtype):
@@ -246,8 +237,7 @@ def conv2d_backward(ctx, grad_out, input_grad=True):
     shift-accumulate layers the input-gradient correlation's columns
     multiply the saved input, with taps flipped.
     """
-    saved = _take(ctx, "conv2d")
-    w, x = saved["w"], saved["x"]
+    w, x = ctx.saved["w"], ctx.saved["x"]
     batch, c_in, height, width = x.shape
     c_out, _, kh, kw = w.shape
     _require(grad_out.shape == (batch, c_out, height, width),
@@ -322,7 +312,7 @@ def maxpool2_backward(ctx, grad_out):
     writes ``where(won, g, +0.0)`` by bits (see :func:`_mask`), and the
     input gradient has the forward input's dtype.
     """
-    saved = _take(ctx, "maxpool2")
+    saved = ctx.saved
     batch, chans, height, width = saved["x_shape"]
     expected = (batch, chans, height // 2, width // 2)
     _require(grad_out.shape == expected,
@@ -358,7 +348,7 @@ def relu(x):
 
 
 def relu_backward(ctx, grad_out):
-    out = _take(ctx, "relu")["out"]
+    out = ctx.saved["out"]
     _require(grad_out.shape == out.shape,
              f"relu upstream gradient has shape {grad_out.shape}, expected {out.shape}")
     g_bits = grad_out.view(_bits(grad_out.dtype))
@@ -381,8 +371,7 @@ def upsample2_backward(ctx, grad_out):
     as (top-left + top-right) + (bottom-left + bottom-right) + 0.0.  The
     trailing +0.0, like numpy's own sum, turns a block of four -0.0 into
     +0.0 and changes nothing else."""
-    saved = _take(ctx, "upsample2")
-    batch, chans, height, width = saved["x_shape"]
+    batch, chans, height, width = ctx.saved["x_shape"]
     _require(grad_out.shape == (batch, chans, 2 * height, 2 * width),
              f"upsample2 upstream gradient has shape {grad_out.shape}, "
              f"expected {(batch, chans, 2 * height, 2 * width)}")
@@ -411,8 +400,7 @@ def concat_channels(a, b):
 def concat_channels_backward(ctx, grad_out):
     """Splits the upstream gradient back into the two inputs' slices,
     returned as views of ``grad_out``."""
-    saved = _take(ctx, "concat_channels")
-    shape_a, shape_b = saved["shapes"]
+    shape_a, shape_b = ctx.saved["shapes"]
     expected = (shape_a[0], shape_a[1] + shape_b[1]) + shape_a[2:]
     _require(grad_out.shape == expected,
              f"concat_channels upstream gradient has shape {grad_out.shape}, expected {expected}")
@@ -437,8 +425,7 @@ def dense(x, w, bias):
 
 def dense_backward(ctx, grad_out):
     """Gradients of dense: returns ``(d_input, d_weight, d_bias)``."""
-    saved = _take(ctx, "dense")
-    x, w = saved["x"], saved["w"]
+    x, w = ctx.saved["x"], ctx.saved["w"]
     _require(grad_out.shape == (x.shape[0], w.shape[1]),
              f"dense upstream gradient has shape {grad_out.shape}, "
              f"expected {(x.shape[0], w.shape[1])}")

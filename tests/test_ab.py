@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -39,12 +40,20 @@ def test_report_counts_wins_in_each_metrics_declared_direction():
 
 def test_one_short_corpus_pair_of_the_working_tree_against_itself():
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
     proc = subprocess.run(
         [sys.executable, str(_PATH), str(ROOT), str(ROOT), "--workload", "corpus",
          "--pairs", "1", "--seconds", "0.2"],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=dict(env, MALLOC_ARENA_MAX="1"))
     assert proc.returncode == 0, proc.stderr
-    rows = {line.split()[0]: line.split() for line in proc.stdout.splitlines()}
+    lines = proc.stdout.splitlines()
+    # The report says what it measured: each side's bench env line, and
+    # the MALLOC_* variables that the runs inherited.
+    for side in ("parent", "change"):
+        [bench_env] = [line.split(" ", 2)[2] for line in lines if line.startswith(f"env {side} ")]
+        assert {"numpy", "blas", "nproc", "malloc"} <= set(json.loads(bench_env)), bench_env
+    assert "malloc-env MALLOC_ARENA_MAX=1" in lines
+    rows = {line.split()[0]: line.split() for line in lines}
     for metric in declared["end_to_end"]:
         row = rows[metric["name"]]
         assert row[1] == metric["unit"] and row[-1] in ("0/1", "1/1"), row

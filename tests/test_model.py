@@ -13,7 +13,6 @@ import bcnn.model
 from bcnn.data import MAX_INPUT_SIZE
 from bcnn.errors import ConfigError, ConsistencyError, DimensionError
 from bcnn.model import (
-    ForwardTrace,
     ModelConfig,
     backward,
     build_model,
@@ -22,7 +21,7 @@ from bcnn.model import (
     parameter_shapes,
     softmax_xent,
 )
-from bcnn.tensor import Tensor, conv2d, conv2d_backward
+from bcnn.tensor import OpContext, Tensor, conv2d, conv2d_backward
 
 _IDENTITY = importlib.util.spec_from_file_location(
     "identity", Path(__file__).resolve().parents[1] / "tools" / "identity.py")
@@ -162,21 +161,22 @@ def test_forward_trace_resolution_ladder():
     _, trace = forward(params, batch_of(np.random.default_rng(2), config, 2))
     # The stack holds every op context in application order: fwd1..fwd3,
     # then refine2 and refine1, then the head.
-    assert [c.op for c in trace.ctxs] == (["conv2d", "maxpool2", "relu"] * 3
-                                          + ["upsample2", "concat_channels", "conv2d", "relu"] * 2
-                                          + ["dense"])
+    assert [c.op for c in trace] == (["conv2d", "maxpool2", "relu"] * 3
+                                     + ["upsample2", "concat_channels", "conv2d", "relu"] * 2
+                                     + ["dense"])
     # F_k and B_k are the ReLU outputs of stage k's forward and refine convs
-    assert [c.saved["out"].shape for c in trace.ctxs if c.op == "relu"] == [
+    assert [c.saved["out"].shape for c in trace if c.op == "relu"] == [
         (2, 16, 32, 32), (2, 32, 16, 16), (2, 64, 8, 8),  # F_1, F_2, F_3
         (2, 32, 16, 16), (2, 16, 32, 32)]                 # B_2, B_1
-    assert trace.ctxs[-1].saved["x"].shape == (2, 16 + 64)
+    assert trace[-1].saved["x"].shape == (2, 16 + 64)
 
 
 def test_forward_trace_keeps_only_what_backward_reads():
     params = build_model(TINY)
     _, trace = forward(params, batch_of(np.random.default_rng(2), TINY, 2))
-    assert [f.name for f in dataclasses.fields(ForwardTrace)] == ["ctxs", "param_shapes"]
-    relu_ctxs = [c for c in trace.ctxs if c.op == "relu"]
+    # The trace is the plain list of op contexts, and nothing more.
+    assert type(trace) is list and all(type(ctx) is OpContext for ctx in trace)
+    relu_ctxs = [c for c in trace if c.op == "relu"]
     assert len(relu_ctxs) == 2 * TINY.stages - 1
     assert all(set(ctx.saved) == {"out"} for ctx in relu_ctxs)
 
@@ -271,7 +271,7 @@ def test_backward_leaves_no_array_in_the_trace():
     logits, trace = forward(params, batch_of(np.random.default_rng(9), TINY, 2))
     assert held_bytes(trace) > 0
     backward(params, trace, np.ones(logits.shape, dtype=np.float32))
-    assert trace.ctxs == []
+    assert trace == []
     assert held_bytes(trace) == 0
 
 
@@ -314,6 +314,10 @@ def test_backward_rejects_foreign_trace():
     other = build_model(ModelConfig(input_size=8, stages=2, channels=(4, 5), classes=3))
     with pytest.raises(ConsistencyError):
         backward(other, trace, np.zeros((2, 3), dtype=np.float32))
+    # Same shapes, other kernels: the trace is admitted by the arrays it keeps.
+    same_shaped = build_model(dataclasses.replace(TINY, seed=1))
+    with pytest.raises(ConsistencyError, match="kernels"):
+        backward(same_shaped, trace, np.zeros((2, 3), dtype=np.float32))
     renamed = dict(params)
     renamed["extra_w"] = renamed.pop("fwd1_w")
     with pytest.raises(ConsistencyError):
@@ -341,7 +345,7 @@ def _kink_margin_by_stage_names(trace, params):
     stages = sum(name.startswith("fwd") and name.endswith("_w") for name in params)
     names = ([f"fwd{k}" for k in range(1, stages + 1)]
              + [f"refine{k}" for k in range(stages - 1, 0, -1)])
-    convs = [ctx for ctx in trace.ctxs if ctx.op == "conv2d"]
+    convs = [ctx for ctx in trace if ctx.op == "conv2d"]
     assert len(convs) == len(names)
     margin = np.inf
     for name, ctx in zip(names, convs):

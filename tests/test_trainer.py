@@ -21,6 +21,7 @@ from bcnn.errors import (
     ConfigError,
     ConsistencyError,
     CorpusError,
+    DTypeError,
     FormatError,
     IntegrityError,
     NumericError,
@@ -288,6 +289,21 @@ def test_gradients_loss_gradient_moments_and_batches_are_ndarrays(corpus):
     state = adam_init(params)
     arrays = [x, d_logits, *grads.values(), *state.m.values(), *state.v.values()]
     assert all(type(a) is np.ndarray for a in arrays)
+
+
+def test_the_model_api_names_a_tensor_ndarray_mix_up(corpus):
+    # The natural library loop's mix-ups: to_batches' ndarray batch, or a
+    # dict of arrays, handed to forward, and forward's Tensor logits handed
+    # to softmax_xent; each is a DTypeError that says what to pass.
+    params = build_model(MODEL)
+    x, y = to_batches(corpus, 4, size=32)[0]
+    with pytest.raises(DTypeError, match=r"batch as ndarray; pass Tensor\(x\)"):
+        forward(params, x)
+    with pytest.raises(DTypeError, match="fwd1_w as ndarray"):
+        forward({name: t.data for name, t in params.items()}, Tensor(x))
+    logits, _ = forward(params, Tensor(x), record=False)
+    with pytest.raises(DTypeError, match=r"not Tensor; pass logits\.data"):
+        softmax_xent(logits, y)
 
 
 def _blas_threads():

@@ -7,16 +7,21 @@ checkout in a fresh process, from that checkout's root, so each side
 times its own ``src/`` with its own harness.  The side that runs first
 alternates: the parent in odd pairs, the change in even ones.
 
-For each end-to-end metric that ``CHANGE/BENCHMARK.json`` declares, the
-report gives each side's median and quartiles over the pairs and the
-number of pairs in which the change was better in the metric's declared
-direction (a tie is no win).  It then gives each side's ``correct`` runs
+The report first says what was measured: each side's ``env`` line from
+the first pair (numpy, BLAS, ``nproc`` and the malloc pin, as
+``bench/run.py`` prints it), and one ``malloc-env`` line with every
+``MALLOC_*`` variable the runs inherit, or ``none``.  For each
+end-to-end metric that ``CHANGE/BENCHMARK.json`` declares, it gives
+each side's median and quartiles over the pairs and the number of pairs
+in which the change was better in the metric's declared direction (a
+tie is no win).  It then gives each side's ``correct`` runs
 and ``failed`` operations.  It reports and does not judge: bounds,
 claims and checks are the reader's.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -41,7 +46,8 @@ def _parse_args(argv):
 
 
 def run_once(root, workload, seed, seconds):
-    """The result line of one ``bench/run.py --trace 0`` process in ``root``."""
+    """The ``env`` line's fields and the result line of one
+    ``bench/run.py --trace 0`` process in ``root``."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
@@ -49,7 +55,8 @@ def run_once(root, workload, seed, seconds):
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{root}: {' '.join(argv[1:])} exited {proc.returncode}\n"
                          f"{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
+    return env, json.loads(lines[-1])
 
 
 def _spread(values):
@@ -97,12 +104,13 @@ def report(metrics, pairs):
 def main(argv=None):
     args = _parse_args(argv)
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
-    pairs = []
+    pairs, envs = [], [None, None]
     roots = (args.parent, args.change)
     for seed in range(1, args.pairs + 1):
         pair = [None, None]
         for side in ((0, 1) if seed % 2 else (1, 0)):
-            pair[side] = run_once(roots[side], args.workload, seed, args.seconds)
+            env, pair[side] = run_once(roots[side], args.workload, seed, args.seconds)
+            envs[side] = envs[side] or env
         pairs.append(pair)
         print(f"pair {seed}/{args.pairs} done ({'parent' if seed % 2 else 'change'} first)",
               file=sys.stderr)
@@ -110,6 +118,10 @@ def main(argv=None):
           f"seeds 1-{args.pairs}")
     print(f"parent {args.parent.resolve()}")
     print(f"change {args.change.resolve()}")
+    for label, env in zip(("parent", "change"), envs):
+        print(f"env {label} {json.dumps(env, sort_keys=True)}")
+    inherited = sorted(f"{k}={v}" for k, v in os.environ.items() if k.startswith("MALLOC_"))
+    print(f"malloc-env {' '.join(inherited) or 'none'}")
     print("\n".join(report(declared["end_to_end"], pairs)))
     return 0
 
