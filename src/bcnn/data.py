@@ -272,7 +272,8 @@ def scale_image(pixels, factor):
 
     Output size equals input size: zooming in crops to the original frame,
     zooming out replicates edge pixels where the source runs out.  Factor
-    1.0 returns the input bit for bit.
+    1.0 returns the input bit for bit.  The output is C-contiguous, and
+    rows are gathered first, then columns: two 1-D takes.
     """
     pixels = np.asarray(pixels)
     zoom = _finite_float(factor, _SCALES)
@@ -286,7 +287,7 @@ def scale_image(pixels, factor):
     src_c = np.floor((cols - cx) / zoom + cx + 0.5).astype(np.int64)
     src_r = np.minimum(np.maximum(src_r, 0), height - 1)
     src_c = np.minimum(np.maximum(src_c, 0), width - 1)
-    return np.ascontiguousarray(pixels[src_r[:, None], src_c[None, :]])
+    return pixels.take(src_r, axis=0).take(src_c, axis=1)
 
 
 def adjust_brightness(pixels, factor):
@@ -585,7 +586,8 @@ def synth_generate(class_name, size, seed):
 
 
 def resize_nn(pixels, size):
-    """Nearest-neighbour resample of a (H, W) array to (size, size)."""
+    """Nearest-neighbour resample of a (H, W) array to a C-contiguous (size,
+    size) one, gathering rows first, then columns, as :func:`scale_image` does."""
     if not (_is_int(size) and size >= 1):
         raise ConfigError(f"size must be a positive integer, got {size!r}")
     pixels = np.asarray(pixels)
@@ -594,7 +596,7 @@ def resize_nn(pixels, size):
         return pixels.copy()
     src_r = np.minimum((np.arange(size) + 0.5) * height / size, height - 1).astype(np.int64)
     src_c = np.minimum((np.arange(size) + 0.5) * width / size, width - 1).astype(np.int64)
-    return np.ascontiguousarray(pixels[src_r[:, None], src_c[None, :]])
+    return pixels.take(src_r, axis=0).take(src_c, axis=1)
 
 
 def to_batches(manifest, batch_size, shuffle_seed=None, *, size):

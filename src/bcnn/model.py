@@ -145,6 +145,12 @@ def _layers(params):
     return {id(t.data): name[:-2] for name, t in params.items() if name.endswith("_w")}
 
 
+def _gap(x):
+    """Global average pool: ``x.mean(axis=(2, 3))``'s reduce and unsafe divide, unwrapped."""
+    total = np.add.reduce(x, axis=(2, 3))
+    return np.true_divide(total, np.intp(x.shape[2] * x.shape[3]), out=total, casting="unsafe")
+
+
 def _gap_backward(grad, shape):
     """A read-only view spreading each pooled gradient over its H*W positions."""
     _, _, height, width = shape
@@ -202,7 +208,7 @@ def forward(params, batch, *, record=True):
         coarse = keep(relu(conv_out))
 
     # ``coarse`` is now B_1; the head reads the global average pools of B_1 and F_K.
-    pooled_vec = np.concatenate([coarse.mean(axis=(2, 3)), f_maps[-1].mean(axis=(2, 3))], axis=1)
+    pooled_vec = np.concatenate([_gap(coarse), _gap(f_maps[-1])], axis=1)
     logits = keep(dense(pooled_vec, p["head_w"], p["head_b"]))
     return Tensor(logits), (ctxs if record else None)
 

@@ -68,6 +68,7 @@ __all__ = [
 ]
 
 _ALLOWED_DTYPES = (np.float32, np.float64)
+_BITS = {n: np.dtype(f"i{n}") for n in (1, 2, 4, 8)}  # built once: np.dtype() is slow
 
 
 class Tensor:
@@ -112,7 +113,7 @@ def _require(cond, message):
 
 def _bits(dtype):
     """The signed integer type as wide as the float type ``dtype``."""
-    return np.dtype(f"i{dtype.itemsize}")
+    return _BITS[dtype.itemsize]
 
 
 def _mask(won):
@@ -140,13 +141,20 @@ def _padded(x, kh, kw):
         yield buf
 
 
+def _window(a, shape, strides):
+    """``as_strided(a, shape, strides, writeable=False)`` of a contiguous ``a``, made
+    faster by the ndarray constructor, which refuses a view past ``a``'s buffer."""
+    view = np.ndarray(shape, a.dtype, a, 0, strides)
+    view.flags.writeable = False
+    return view
+
+
 def _columns(image, kh, kw):
-    """A copy of a padded image's im2col columns, ``(C*kh*kw, out_h*out_w)``."""
+    """A copy of a padded image's im2col columns, ``(C*kh*kw, out_h*out_w)``, from a window."""
     chans, height, width = image.shape
     s_c, s_h, s_w = image.strides
-    return np.lib.stride_tricks.as_strided(
-        image, (chans, kh, kw, height - kh + 1, width - kw + 1),
-        (s_c, s_h, s_w, s_h, s_w), writeable=False).reshape(chans * kh * kw, -1)
+    return _window(image, (chans, kh, kw, height - kh + 1, width - kw + 1),
+                   (s_c, s_h, s_w, s_h, s_w)).reshape(chans * kh * kw, -1)
 
 
 def _correlate(x, w, rhs=None):
@@ -180,9 +188,8 @@ def _correlate(x, w, rhs=None):
     for b, image in enumerate(_padded(x, kh, kw)):
         planes = np.matmul(rows, image.reshape(c_in, -1)).reshape(c_out, kh, kw, *image.shape[1:])
         s_o, s_i, s_j, s_y, s_x = planes.strides
-        taps = np.lib.stride_tricks.as_strided(
-            planes, (c_out, kh, kw, height, width), (s_o, s_i + s_y, s_j + s_x, s_y, s_x),
-            writeable=False)
+        taps = _window(planes, (c_out, kh, kw, height, width),
+                       (s_o, s_i + s_y, s_j + s_x, s_y, s_x))
         # -0.0 is the exact additive identity, so the sum equals adding the
         # taps one by one onto a copy of the first, an all -0.0 sum included.
         np.add.reduce(taps, axis=(1, 2), out=out[b], initial=-0.0)
@@ -360,9 +367,12 @@ def relu_backward(ctx, grad_out):
 
 
 def upsample2(x):
-    """Nearest-neighbour 2x upsampling: every pixel becomes a 2x2 block."""
+    """Nearest-neighbour 2x upsampling: every pixel becomes a 2x2 block, copied into the
+    four stride-2 grids of one output; the bytes of ``x.repeat(2, 2).repeat(2, 3)``."""
     _require(x.ndim == 4, f"upsample2 input must be rank 4, got rank {x.ndim}")
-    out = x.repeat(2, axis=2).repeat(2, axis=3)
+    out = np.empty(x.shape[:2] + (2 * x.shape[2], 2 * x.shape[3]), dtype=x.dtype)
+    for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        out[:, :, di::2, dj::2] = x
     return out, OpContext("upsample2", {"x_shape": x.shape})
 
 

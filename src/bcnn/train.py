@@ -320,7 +320,10 @@ def load_checkpoint(path):
 
     Each tensor must be one the config names, appear once, have the
     config's rank and extents and hold only finite values, and the file
-    must end after the last one.
+    must end after the last one.  Values are checked last, all at once:
+    a structural fault is reported first, and the error names the first
+    non-finite tensor.  Parameters are views of one float32 buffer; each
+    payload is read before its slice is filled, so the file bounds it.
     Bad magic raises :class:`FormatError`, an unsupported version
     :class:`VersionError`, and everything else (an invalid config,
     truncation, an undecodable name, a tensor that breaks the rule)
@@ -360,7 +363,8 @@ def load_checkpoint(path):
     (n_tensors,) = u32()
     if n_tensors != len(want):
         raise IntegrityError(f"checkpoint holds {n_tensors} tensors; its config names {len(want)}")
-    params = {}
+    flat = np.empty(min(sum(map(math.prod, want.values())), len(buf) // 4), dtype=np.float32)
+    params, at = {}, 0
     for _ in range(n_tensors):
         (name_len,) = u32()
         try:
@@ -376,12 +380,15 @@ def load_checkpoint(path):
         if u32() != (len(shape),) or u32(len(shape)) != shape:
             raise IntegrityError(
                 f"tensor '{name}' does not have its config's rank and extents {shape}")
-        data = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
-        if not np.isfinite(data).all():
-            raise IntegrityError(f"tensor '{name}' holds a value that is not finite")
-        params[name] = Tensor(data.astype(np.float32, copy=True))
+        size = math.prod(shape)
+        flat[at:at + size] = np.frombuffer(take(4 * size), dtype="<f4")
+        params[name] = Tensor(flat[at:at + size].reshape(shape))
+        at += size
     if pos != len(buf):
         raise IntegrityError(f"checkpoint has {len(buf) - pos} trailing bytes")
+    if not np.isfinite(flat).all():
+        name = next(name for name, t in params.items() if not np.isfinite(t.data).all())
+        raise IntegrityError(f"tensor '{name}' holds a value that is not finite")
     return Checkpoint(version=version, config=config, params=params)
 
 

@@ -57,6 +57,15 @@ def test_one_short_corpus_pair_of_the_working_tree_against_itself():
     for metric in declared["end_to_end"]:
         row = rows[metric["name"]]
         assert row[1] == metric["unit"] and row[-1] in ("0/1", "1/1"), row
+    # setup_s is split into its import and warm-up parts.  The change side
+    # ran last, so its detail file is the one left, and its row shows it.
+    detail = json.loads((ROOT / ".bench_out" / "corpus-seed1-trace0.json").read_text())
+    for part in ("import_s", "warmup_s"):
+        row = rows[part]
+        assert row[1] == "s" and row[-1] in ("0/1", "1/1"), row
+        assert row[5] == f"{detail[part]:.4g}", (row, detail[part])
+    parts = detail["import_s"] + detail["warmup_s"]
+    assert parts <= detail["metrics"]["setup_s"]["value"]
     assert rows["correct"][2:] == ["parent", "1/1", "change", "1/1"]
     _, _, parent, parent_failed, change, change_failed = rows["failed"]
     assert (parent, change) == ("parent", "change")

@@ -828,6 +828,44 @@ def test_resize_nn_identity_and_downsample():
             resize_nn(img, size)
 
 
+def _fancy_gather(img, src_r, src_c):
+    """The 2-D fancy index that resize_nn and scale_image used to gather with."""
+    return np.ascontiguousarray(img[src_r[:, None], src_c[None, :]])
+
+
+def _gather_cases():
+    rng = np.random.default_rng(21)
+    for height, width in ((96, 64), (5, 17), (64, 200), (1, 3)):
+        for dtype in (np.uint8, np.float32, np.float64):
+            img = (rng.random((height, width)) * 255).astype(dtype)
+            yield img
+            yield img.T  # a non-contiguous source
+
+
+def test_resize_nn_gives_the_2d_fancy_index_bytes_on_non_square_inputs():
+    for img in _gather_cases():
+        height, width = img.shape
+        for size in (1, 7, 64, 100):
+            src_r = np.minimum((np.arange(size) + 0.5) * height / size, height - 1).astype(np.int64)
+            src_c = np.minimum((np.arange(size) + 0.5) * width / size, width - 1).astype(np.int64)
+            got = resize_nn(img, size)
+            assert got.dtype == img.dtype and got.flags.c_contiguous
+            assert got.tobytes() == _fancy_gather(img, src_r, src_c).tobytes(), (img.shape, size)
+
+
+def test_scale_image_gives_the_2d_fancy_index_bytes_on_non_square_inputs():
+    for img in _gather_cases():
+        height, width = img.shape
+        for zoom in (0.5, 0.8, 1.3, 2.0):
+            src_r = np.floor((np.arange(height) - (height - 1) / 2.0) / zoom
+                             + (height - 1) / 2.0 + 0.5).astype(np.int64).clip(0, height - 1)
+            src_c = np.floor((np.arange(width) - (width - 1) / 2.0) / zoom
+                             + (width - 1) / 2.0 + 0.5).astype(np.int64).clip(0, width - 1)
+            got = scale_image(img, zoom)
+            assert got.dtype == img.dtype and got.flags.c_contiguous
+            assert got.tobytes() == _fancy_gather(img, src_r, src_c).tobytes(), (img.shape, zoom)
+
+
 # ---------------------------------------------------------------------------
 # manifest export
 

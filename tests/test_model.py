@@ -147,6 +147,20 @@ def test_record_free_forward_gives_the_same_logit_bits_and_no_trace(dtype):
     assert bare.data.dtype == dtype and bare.data.tobytes() == logits.data.tobytes()
 
 
+def test_global_average_pool_gives_the_bits_of_mean():
+    # H*W mostly not a power of two, so the divide rounds; large and
+    # cancelling values make the float32 sum's order matter too.
+    rng = np.random.default_rng(17)
+    for height, width in ((1, 1), (3, 5), (7, 7), (6, 10), (12, 20), (16, 16), (32, 24),
+                          (9, 31), (48, 48), (5, 64), (63, 65)):
+        for dtype in (np.float32, np.float64):
+            x = (rng.standard_normal((2, 3, height, width)) * 1e4).astype(dtype)
+            got = bcnn.model._gap(x)
+            want = x.mean(axis=(2, 3))
+            assert got.dtype == dtype and got.shape == (2, 3)
+            assert got.tobytes() == want.tobytes(), (height, width, dtype)
+
+
 def test_forward_identical_rows_give_identical_logits():
     config = ModelConfig()
     params = build_model(config)

@@ -15,9 +15,13 @@ from hypothesis import strategies as st
 
 from bcnn.errors import BcnnError, ConsistencyError, DimensionError, DTypeError, NumericError
 from bcnn.model import softmax_xent
+import bcnn.tensor
 from bcnn.tensor import (
     Tensor,
+    _bits,
+    _columns,
     _padded,
+    _window,
     concat_channels,
     concat_channels_backward,
     conv2d,
@@ -221,6 +225,12 @@ def test_maxpool2_context_keeps_a_winner_record_not_the_input():
 # relu
 
 
+def test_bits_is_built_once_per_dtype_with_the_same_result():
+    for dtype in (np.float16, np.float32, np.float64):
+        d = np.dtype(dtype)
+        assert _bits(d) == np.dtype(f"i{d.itemsize}") and _bits(d) is _bits(np.dtype(dtype))
+
+
 def test_relu_sign_cases():
     out, _ = relu(t([-1.0, 2.0, 0.0]))
     assert np.array_equal(out, np.array([0.0, 2.0, 0.0]))
@@ -272,6 +282,32 @@ def test_upsample2_block_layout():
                      [3.0, 3.0, 4.0, 4.0],
                      [3.0, 3.0, 4.0, 4.0]])
     assert np.array_equal(out[0, 0], want)
+
+
+def _nan_and_signed_zero_batch(shape, dtype, seed):
+    """Random values with -0.0, +0.0, infinities and NaNs of several payloads
+    and signs, for comparing ops by their bits."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape).astype(dtype)
+    flat = x.reshape(-1)
+    flat[::7], flat[1::11], flat[2::13] = -0.0, 0.0, -np.inf
+    uint = flat.view(f"u{x.itemsize}")
+    exponent = np.asarray(np.inf, dtype=dtype).view(uint.dtype)
+    sign = np.asarray(-0.0, dtype=dtype).view(uint.dtype)
+    uint[3::5] = exponent | 1  # signalling NaN, payload 1
+    uint[4::9] = exponent | sign | 0x1234  # negative NaN with a payload
+    return x
+
+
+def test_upsample2_matches_the_repeat_chain_bit_for_bit():
+    for shape in ((1, 32, 16, 16), (1, 64, 8, 8), (3, 5, 7, 9), (16, 2, 1, 6)):
+        for dtype in (np.float32, np.float64):
+            x = _nan_and_signed_zero_batch(shape, dtype, sum(shape))
+            out, ctx = upsample2(x)
+            want = x.repeat(2, axis=2).repeat(2, axis=3)
+            assert out.dtype == dtype and out.flags.c_contiguous and out.shape == want.shape
+            assert out.tobytes() == want.tobytes(), (shape, dtype)
+            assert ctx.saved == {"x_shape": shape}
 
 
 def test_upsample2_backward_block_sum():
@@ -605,6 +641,64 @@ def test_shift_accumulate_sums_its_taps_in_order_bit_for_bit():
             want = _correlate_tap_by_tap(x, w)
             case = (dtype.__name__, x_shape, w_shape)
             assert out.dtype == dtype and out.tobytes() == want.tobytes(), case
+
+
+def test_window_views_match_as_strided_and_are_read_only():
+    as_strided = np.lib.stride_tricks.as_strided
+    for dtype in (np.float32, np.float64):
+        for chans, height, width, kh, kw in ((1, 66, 66, 3, 3), (3, 7, 10, 5, 3), (2, 4, 9, 1, 5)):
+            image = _nan_and_signed_zero_batch((chans, height, width), dtype, height + width)
+            s_c, s_h, s_w = image.strides
+            shape = (chans, kh, kw, height - kh + 1, width - kw + 1)
+            strides = (s_c, s_h, s_w, s_h, s_w)
+            view = _window(image, shape, strides)
+            want = as_strided(image, shape, strides, writeable=False)
+            assert view.shape == want.shape and view.strides == want.strides
+            assert view.tobytes() == want.tobytes() and not view.flags.writeable
+            assert np.shares_memory(view, image)
+            with pytest.raises(ValueError):
+                view[(0,) * 5] = 1.0
+            cols = _columns(image, kh, kw)
+            assert cols.tobytes() == want.reshape(chans * kh * kw, -1).tobytes()
+            # A view that would read past the buffer is refused, not built.
+            with pytest.raises(ValueError):
+                _window(image, (chans + 1,) + shape[1:], strides)
+
+
+def test_conv2d_builds_one_read_only_window_per_image_on_both_paths(monkeypatch):
+    # The taps of shift-accumulate come from _window too: each correlation
+    # takes one read-only view per image, and the sums equal those over
+    # as_strided taps.  Backward runs one correlation on shift-accumulate
+    # layers and, on im2col ones, a correlation plus the d_w columns.
+    made = []
+
+    def spy(a, shape, strides):
+        view = _window(a, shape, strides)
+        made.append(view)
+        return view
+
+    monkeypatch.setattr(bcnn.tensor, "_window", spy)
+    rng = np.random.default_rng(13)
+    for c_in, c_out in ((2, 6), (6, 2)):
+        for dtype in (np.float32, np.float64):
+            x = rng.standard_normal((3, c_in, 6, 8)).astype(dtype)
+            w = rng.standard_normal((c_out, c_in, 3, 3)).astype(dtype)
+            made.clear()
+            out, ctx = conv2d(x, w, np.full(c_out, -0.0, dtype=dtype))
+            assert len(made) == 3 and not any(v.flags.writeable for v in made)
+            made.clear()
+            conv2d_backward(ctx, np.ones_like(out))
+            assert len(made) == (6 if c_in <= c_out else 3)
+            assert not any(v.flags.writeable for v in made)
+            if c_in > c_out:
+                rows = w.transpose(0, 2, 3, 1).reshape(c_out * 9, c_in)
+                for b, image in enumerate(_padded(x, 3, 3)):
+                    planes = (rows @ image.reshape(c_in, -1)).reshape(c_out, 3, 3, 8, 10)
+                    s_o, s_i, s_j, s_y, s_x = planes.strides
+                    taps = np.lib.stride_tricks.as_strided(
+                        planes, (c_out, 3, 3, 6, 8), (s_o, s_i + s_y, s_j + s_x, s_y, s_x))
+                    want = np.add.reduce(taps, axis=(1, 2), initial=-0.0)
+                    assert out[b].tobytes() == want.tobytes(), (dtype, b)
 
 
 def test_im2col_weight_gradient_matches_the_per_image_gradient_times_columns():

@@ -575,6 +575,62 @@ def test_checkpoint_rejects_a_non_finite_payload_naming_the_tensor(tmp_path, val
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("name", ["fwd1_w", "head_b"])
+def test_checkpoint_names_a_non_finite_first_or_last_tensor(tmp_path, name):
+    # One finite check covers every payload; the error still names the tensor.
+    arrays = _model_arrays()
+    assert name in (list(arrays)[0], list(arrays)[-1])
+    arrays[name] = arrays[name].copy()
+    arrays[name].flat[-1] = math.nan
+    path = tmp_path / "bad.bcnn"
+    path.write_bytes(_encode(list(arrays.items())))
+    with pytest.raises(IntegrityError, match=f"'{name}' holds a value that is not finite"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("fault", ["trailing", "not a parameter"])
+def test_checkpoint_reports_a_structural_fault_before_a_non_finite_payload(tmp_path, fault):
+    # fwd1_w, the first tensor, holds a NaN, and the file has a later
+    # structural fault too: the structure is read first, so that is reported.
+    arrays = _model_arrays()
+    arrays["fwd1_w"] = arrays["fwd1_w"].copy()
+    arrays["fwd1_w"].flat[0] = math.nan
+    if fault == "trailing":
+        data = _encode(list(arrays.items())) + b"junk"
+    else:
+        data = _encode([(n.replace("head_b", "head_c"), a) for n, a in arrays.items()])
+    path = tmp_path / "bad.bcnn"
+    path.write_bytes(data)
+    with pytest.raises(IntegrityError, match=fault):
+        load_checkpoint(path)
+
+
+def test_checkpoint_parameters_are_views_of_one_float32_buffer(tmp_path):
+    arrays = _model_arrays()
+    path = tmp_path / "model.bcnn"
+    path.write_bytes(_encode(list(arrays.items())))
+    params = load_checkpoint(path).params
+    base = params["fwd1_w"].data.base
+    assert base.dtype == np.float32 and base.size == sum(a.size for a in arrays.values())
+    at = 0
+    for name, array in arrays.items():
+        data = params[name].data
+        assert data.base is base and data.flags.c_contiguous and data.flags.writeable
+        assert np.shares_memory(data, base[at:at + array.size])
+        assert data.tobytes() == array.astype(np.float32).tobytes()
+        at += array.size
+
+
+def test_checkpoint_with_huge_channel_counts_is_truncated_before_any_allocation(tmp_path):
+    # The payload buffer is sized by the file, not by what its config names:
+    # 2^31 channels would name about 10^19 weights.
+    config = ModelConfig(input_size=32, stages=2, channels=(2 ** 31, 2 ** 31), classes=2)
+    path = tmp_path / "huge.bcnn"
+    path.write_bytes(_encode([], config)[:-4] + struct.pack("<I", 8))
+    with pytest.raises(IntegrityError, match="truncated"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_save_refuses_what_load_would_refuse(tmp_path):
     # A float64 value above float32's range is finite until it is written.
     for value in (math.nan, math.inf, 1e39):

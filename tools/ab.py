@@ -14,9 +14,12 @@ the first pair (numpy, BLAS, ``nproc`` and the malloc pin, as
 end-to-end metric that ``CHANGE/BENCHMARK.json`` declares, it gives
 each side's median and quartiles over the pairs and the number of pairs
 in which the change was better in the metric's declared direction (a
-tie is no win).  It then gives each side's ``correct`` runs
-and ``failed`` operations.  It reports and does not judge: bounds,
-claims and checks are the reader's.
+tie is no win).  Two rows in the same form split ``setup_s``: its
+``import_s`` and ``warmup_s`` parts, read from the run's
+``.bench_out/<workload>-seed<k>-trace0.json``, where lower is better;
+the rest of ``setup_s`` is the workload's median setup.  It then gives
+each side's ``correct`` runs and ``failed`` operations.  It reports and
+does not judge: bounds, claims and checks are the reader's.
 """
 
 import argparse
@@ -26,6 +29,10 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+# The parts of setup_s that bench/run.py writes to its detail file.
+SETUP_PARTS = [{"name": name, "unit": "s", "better": "lower"}
+               for name in ("import_s", "warmup_s")]
 
 
 def _parse_args(argv):
@@ -47,7 +54,8 @@ def _parse_args(argv):
 
 def run_once(root, workload, seed, seconds):
     """The ``env`` line's fields and the result line of one
-    ``bench/run.py --trace 0`` process in ``root``."""
+    ``bench/run.py --trace 0`` process in ``root``; the result's
+    ``metrics`` gain the :data:`SETUP_PARTS` from the run's detail file."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
@@ -56,7 +64,11 @@ def run_once(root, workload, seed, seconds):
         raise SystemExit(f"{root}: {' '.join(argv[1:])} exited {proc.returncode}\n"
                          f"{proc.stderr[-2000:]}")
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
-    return env, json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    detail = json.loads((root / ".bench_out" / f"{workload}-seed{seed}-trace0.json").read_text())
+    for part in SETUP_PARTS:
+        result["metrics"][part["name"]] = {"value": detail[part["name"]], "unit": "s"}
+    return env, result
 
 
 def _spread(values):
@@ -122,7 +134,7 @@ def main(argv=None):
         print(f"env {label} {json.dumps(env, sort_keys=True)}")
     inherited = sorted(f"{k}={v}" for k, v in os.environ.items() if k.startswith("MALLOC_"))
     print(f"malloc-env {' '.join(inherited) or 'none'}")
-    print("\n".join(report(declared["end_to_end"], pairs)))
+    print("\n".join(report(declared["end_to_end"] + SETUP_PARTS, pairs)))
     return 0
 
 
